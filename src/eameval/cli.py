@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computation error, 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
+import csv
 import re
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .model import (
     import_scores,
     predict_proba,
 )
-from .ranking import optimal_ranking, rank_by_density, rank_by_score
+from .ranking import rank
 from .curves import cost_efficiency_curve
 from .report import (
     report_dict,
@@ -226,12 +227,7 @@ def cmd_compare(args) -> int:
 
     labeled = []
     for drv in drivers:
-        if args.rank == "score":
-            ranking = rank_by_score(scores, d, driver=drv, tie_break=args.tie_break)
-        elif args.rank == "density":
-            ranking = rank_by_density(scores, args.norm, d, driver=drv, tie_break=args.tie_break)
-        else:
-            ranking = optimal_ranking(d, drv)
+        ranking = rank(args.rank, scores, d, drv, norm=args.norm, tie_break=args.tie_break)
         labeled.append((drv.name, cost_efficiency_curve(ranking, drv, d, benefit=args.benefit)))
 
     out_dir = Path(args.out_dir)
@@ -244,10 +240,8 @@ def cmd_compare(args) -> int:
         y_label=_benefit_label(args.benefit),
     )
     csv_path = out_dir / f"{name}_compare.csv"
-    import csv as _csv
-
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["driver", "policy", "effort_fraction", "benefit"])
         for label, curve in labeled:
             for x, y in curve.points:

@@ -28,6 +28,9 @@ class CostEfficiencyCurve:
     xs and ys have length n+1 including the origin. The driver name,
     ranking policy, and benefit mode are carried along so that curves are
     only ever compared when they actually describe the same experiment.
+    The shape is checked here, vectorised, when the curve is built; xs and
+    ys are stored as tuples of Python floats, and as read-only arrays
+    (_xs, _ys) that the readings and areas below use.
     """
 
     xs: tuple[float, ...]
@@ -37,16 +40,24 @@ class CostEfficiencyCurve:
     benefit: str
 
     def __post_init__(self) -> None:
-        if len(self.xs) != len(self.ys) or len(self.xs) < 2:
+        xs = np.array(self.xs, dtype=float)
+        ys = np.array(self.ys, dtype=float)
+        if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
             raise ValueError("curve needs matching xs/ys with at least two points")
-        if self.xs[0] != 0.0 or self.ys[0] != 0.0:
+        if xs[0] != 0.0 or ys[0] != 0.0:
             raise ValueError("curve must start at (0, 0)")
-        if self.xs[-1] != 1.0 or self.ys[-1] != 1.0:
+        if xs[-1] != 1.0 or ys[-1] != 1.0:
             raise ValueError("curve must end at (1, 1)")
-        if any(a > b for a, b in zip(self.xs, self.xs[1:])):
+        if np.any(xs[:-1] > xs[1:]):
             raise ValueError("effort fractions must be non-decreasing")
-        if any(a > b for a, b in zip(self.ys, self.ys[1:])):
+        if np.any(ys[:-1] > ys[1:]):
             raise ValueError("benefit must be non-decreasing")
+        xs.flags.writeable = False
+        ys.flags.writeable = False
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "xs", tuple(xs.tolist()))
+        object.__setattr__(self, "ys", tuple(ys.tolist()))
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -83,11 +94,11 @@ def cost_efficiency_curve(
     """
     fractions = cumulative_effort_fractions(drv, ranking, d)
     weights = _benefit_weights(d, benefit)
-    found = np.cumsum(weights[list(ranking.order)]) / weights.sum()
+    found = np.cumsum(weights[ranking._index]) / weights.sum()
     found[-1] = 1.0
     return CostEfficiencyCurve(
-        xs=(0.0, *(float(x) for x in fractions)),
-        ys=(0.0, *(float(y) for y in found)),
+        xs=np.concatenate(([0.0], fractions)),
+        ys=np.concatenate(([0.0], found)),
         driver=drv.name,
         policy=ranking.policy,
         benefit=benefit,
@@ -103,14 +114,12 @@ def pofb_at(curve: CostEfficiencyCurve, budget: float) -> float:
     """
     if not 0.0 <= budget <= 1.0:
         raise ValueError(f"budget must be in [0, 1], got {budget}")
-    xs = np.asarray(curve.xs)
-    k = int(np.searchsorted(xs, budget + BUDGET_TOL, side="right")) - 1
+    k = int(np.searchsorted(curve._xs, budget + BUDGET_TOL, side="right")) - 1
     return curve.ys[k]
 
 
 def _polyline_area(curve: CostEfficiencyCurve, interpolation: str) -> float:
-    xs = np.asarray(curve.xs)
-    ys = np.asarray(curve.ys)
+    xs, ys = curve._xs, curve._ys
     widths = np.diff(xs)
     if interpolation == "linear":
         return float(np.sum(widths * (ys[1:] + ys[:-1]) / 2.0))

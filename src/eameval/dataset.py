@@ -42,6 +42,9 @@ class Dataset:
 
     Record order is preserved verbatim from the source file; it is the
     final tie-breaking key for every ranking, so it must never be shuffled.
+    The label, defect-count and measure columns are built from the records
+    once, on first use, as read-only arrays; with_measure hands the columns
+    already built on to the new dataset.
     """
 
     records: tuple[ModuleRecord, ...]
@@ -50,9 +53,20 @@ class Dataset:
     def __post_init__(self) -> None:
         if not self.records:
             raise ValueError("dataset must contain at least one module")
+        schema = set(self.schema)
         for r in self.records:
-            if set(r.measures) != set(self.schema):
+            if r.measures.keys() != schema:
                 raise ValueError(f"module {r.id!r} does not match the measure schema")
+        object.__setattr__(self, "_columns", {})
+
+    def _column(self, key: str, build):
+        columns = self._columns
+        if key not in columns:
+            column = build()
+            if column is not None:
+                column.flags.writeable = False
+            columns[key] = column
+        return columns[key]
 
     @property
     def n(self) -> int:
@@ -60,7 +74,7 @@ class Dataset:
 
     @property
     def num_defective(self) -> int:
-        return sum(1 for r in self.records if r.defective)
+        return int(np.count_nonzero(self.labels))
 
     @property
     def num_clean(self) -> int:
@@ -73,7 +87,9 @@ class Dataset:
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array([r.defective for r in self.records], dtype=bool)
+        return self._column(
+            "label", lambda: np.array([r.defective for r in self.records], dtype=bool)
+        )
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -82,23 +98,30 @@ class Dataset:
     @property
     def defect_counts(self) -> np.ndarray | None:
         """Per-module defect counts in record order, or None if any are absent."""
-        counts = [r.defect_count for r in self.records]
-        if any(c is None for c in counts):
-            return None
-        return np.array(counts, dtype=float)
+
+        def build():
+            counts = [r.defect_count for r in self.records]
+            if any(c is None for c in counts):
+                return None
+            return np.array(counts, dtype=float)
+
+        return self._column("count", build)
 
     def measure_vector(self, name: str) -> np.ndarray:
-        """Values of one measure in record order."""
+        """Values of one measure in record order (a read-only array)."""
         if name not in self.schema:
             available = ", ".join(self.schema)
             raise ValueError(f"unknown measure {name!r}; available: {available}")
-        return np.array([r.measures[name] for r in self.records], dtype=float)
+        return self._column(
+            "measure:" + name,
+            lambda: np.array([r.measures[name] for r in self.records], dtype=float),
+        )
 
     def with_measure(self, name: str, values) -> "Dataset":
         """A new Dataset with an extra measure column appended."""
         if name in self.schema:
             raise ValueError(f"measure {name!r} already present")
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.shape != (self.n,):
             raise ValueError(f"expected {self.n} values for measure {name!r}")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
@@ -106,13 +129,17 @@ class Dataset:
         records = tuple(
             ModuleRecord(
                 id=r.id,
-                measures={**r.measures, name: float(v)},
+                measures={**r.measures, name: v},
                 defective=r.defective,
                 defect_count=r.defect_count,
             )
-            for r, v in zip(self.records, values)
+            for r, v in zip(self.records, values.tolist())
         )
-        return Dataset(records=records, schema=self.schema + (name,))
+        derived = Dataset(records=records, schema=self.schema + (name,))
+        values.flags.writeable = False
+        derived._columns.update(self._columns)
+        derived._columns["measure:" + name] = values
+        return derived
 
 
 def _parse_bool(cell: str) -> bool | None:
@@ -155,7 +182,8 @@ def load_dataset(
     <stem>.schema.json (keys "label", "count", "id", "measures"), then from
     defaults: label column "Defective", a column literally named "id" (case
     insensitive) as the identifier if present, and every remaining column
-    as a numeric measure. Rows with missing, non-numeric, negative, or
+    as a numeric measure. Module ids must be unique: a repeated id is an
+    error naming both file rows. Rows with missing, non-numeric, negative, or
     non-finite measure cells, unparseable labels, or defect counts that
     contradict the label are rejected one by one; each rejection emits a
     DataQualityWarning naming the file row (header = row 1).
@@ -219,7 +247,10 @@ def load_dataset(
         if not any(_parse_finite(c) is not None for c in cells):
             raise ValueError(f"{path.name}: non-numeric measure column {name!r}")
 
+    rejected_rows = []
+
     def reject(file_row: int, reason: str) -> None:
+        rejected_rows.append(file_row)
         warnings.warn(
             f"{path.name}: row {file_row}: {reason}; row rejected",
             DataQualityWarning,
@@ -276,7 +307,33 @@ def load_dataset(
 
     if not records:
         raise ValueError(f"{path.name}: empty dataset after filtering")
+    del rows, data_rows  # free the raw cells before the id check
+    _check_unique_ids(path.name, records, rejected_rows)
     return Dataset(records=tuple(records), schema=tuple(measure_columns))
+
+
+def _check_unique_ids(filename: str, records, rejected_rows) -> None:
+    # Sorted 64-bit string hashes find the common case, no repeated id, in
+    # a fraction of the memory a set of 100k ids takes; a repeated hash is
+    # then resolved exactly.
+    hashes = np.sort(np.fromiter((hash(r.id) for r in records), dtype=np.int64, count=len(records)))
+    if not np.any(hashes[1:] == hashes[:-1]):
+        return
+    first: dict[str, int] = {}
+    for k, module_id in enumerate(r.id for r in records):
+        j = first.setdefault(module_id, k)
+        if j != k:
+            a, b = (_file_row(i, rejected_rows) for i in (j, k))
+            raise ValueError(f"{filename}: duplicate module id {module_id!r} in rows {a} and {b}")
+
+
+def _file_row(k: int, rejected_rows) -> int:
+    """File row of the k-th accepted data row, given the rejected rows in file order."""
+    row = k + 2  # header occupies row 1
+    for rejected in rejected_rows:
+        if rejected <= row:
+            row += 1
+    return row
 
 
 def save_dataset(d: Dataset, path) -> None:

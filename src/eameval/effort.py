@@ -111,9 +111,23 @@ def _min_max(values: np.ndarray, name: str) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _order_indices(order) -> np.ndarray:
-    # Accepts a RankedList or any index sequence, avoiding a module cycle.
-    return np.asarray(getattr(order, "order", order), dtype=int)
+def permutation_index(order, n: int) -> np.ndarray:
+    """A ranking's module indices as a read-only array, checked to permute 0..n-1.
+
+    A RankedList was checked when it was built, so its index array is
+    returned as is; any other index sequence is checked here, vectorised.
+    """
+    index = getattr(order, "_index", None)
+    if index is None:
+        index = np.array(order)
+        if index.size == 0:
+            index = index.astype(np.intp)
+        if index.dtype.kind not in "iu" or not np.array_equal(np.sort(index), np.arange(n)):
+            raise ValueError(f"order is not a permutation of 0..{n - 1}")
+        index.flags.writeable = False
+    elif len(index) != n:
+        raise ValueError(f"order is not a permutation of 0..{n - 1}")
+    return index
 
 
 def cumulative_effort_fractions(drv: EffortDriver, order, d: Dataset) -> np.ndarray:
@@ -122,9 +136,7 @@ def cumulative_effort_fractions(drv: EffortDriver, order, d: Dataset) -> np.ndar
     Entry k is the effort of the first k+1 modules divided by the whole
     system's effort; the unit cost cancels. The last entry is exactly 1.
     """
-    idx = _order_indices(order)
-    if sorted(idx.tolist()) != list(range(d.n)):
-        raise ValueError("order is not a permutation of the dataset")
+    idx = permutation_index(order, d.n)
     values = driver_values(drv, d)
     sums = np.cumsum(values[idx])
     # Divide by the cumulative sum's own last element, not a separately

@@ -9,18 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .curves import CostEfficiencyCurve, cost_efficiency_curve, pofb_at, popt
+import numpy as np
+
+from .curves import CostEfficiencyCurve, cost_efficiency_curve, popt
 from .dataset import Dataset
-from .effort import EffortDriver, budget_to_cutoff
+from .effort import EffortDriver, cutoff_from_fractions
 from .metrics import (
     ClassificationMetrics,
     classification_metrics,
-    confusion_at_cutoff,
+    confusion_from_hits,
     roc_auc,
 )
-from .ranking import RankedList, optimal_ranking, rank_by_density, rank_by_score
-
-POLICIES = ("score", "density", "optimal")
+from .ranking import RankedList, optimal_ranking, rank
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,6 @@ class EvaluationReport:
     config: dict = field(default_factory=dict)
 
 
-def _ranking_for(policy, scores, d, drv, norm, tie_break) -> RankedList:
-    if policy == "score":
-        return rank_by_score(scores, d, driver=drv, tie_break=tie_break)
-    if policy == "density":
-        return rank_by_density(scores, norm, d, driver=drv, tie_break=tie_break)
-    if policy == "optimal":
-        return optimal_ranking(d, drv)
-    raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-
-
 def evaluate_suite(
     d: Dataset,
     scores,
@@ -83,6 +73,12 @@ def evaluate_suite(
     budgets may be empty, in which case only curves and Popt are produced.
     The AUC is ranking-free and reported once; it is None when the dataset
     has a single class (both classes are required for it to exist).
+
+    The optimal ranking and its curve depend only on the driver, so each is
+    computed once per driver and shared by that driver's cells; the
+    "optimal" policy cell reuses it as its own curve. Each budget's cutoff,
+    benefit and confusion matrix are read off the cell curve's effort
+    fractions and a prefix count of the defective modules found.
     """
     drivers = tuple(drivers)
     budgets = tuple(float(b) for b in budgets)
@@ -90,27 +86,23 @@ def evaluate_suite(
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"budget must be in [0, 1], got {b}")
 
+    optimal: dict[EffortDriver, tuple[RankedList, CostEfficiencyCurve]] = {}
+
+    def optimal_for(drv: EffortDriver) -> tuple[RankedList, CostEfficiencyCurve]:
+        if drv not in optimal:
+            best = optimal_ranking(d, drv)
+            optimal[drv] = best, cost_efficiency_curve(best, drv, d, benefit=benefit)
+        return optimal[drv]
+
     cells = []
     for policy in policies:
         for drv in drivers:
-            ranking = _ranking_for(policy, scores, d, drv, norm, tie_break)
-            curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
-            best = optimal_ranking(d, drv)
-            optimal_curve = cost_efficiency_curve(best, drv, d, benefit=benefit)
-            cell_popt = popt(curve, optimal_curve, interpolation=interpolation)
-            per_budget = []
-            for b in budgets:
-                cutoff = budget_to_cutoff(drv, ranking, d, b)
-                per_budget.append(
-                    BudgetResult(
-                        budget=b,
-                        value=pofb_at(curve, b),
-                        cutoff=cutoff,
-                        metrics=classification_metrics(
-                            confusion_at_cutoff(ranking, d, cutoff)
-                        ),
-                    )
-                )
+            if policy == "optimal":
+                ranking, curve = optimal_for(drv)
+            else:
+                ranking = rank(policy, scores, d, drv, norm=norm, tie_break=tie_break)
+                curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
+            optimal_curve = optimal_for(drv)[1]
             cells.append(
                 EvaluationCell(
                     policy=policy,
@@ -118,8 +110,8 @@ def evaluate_suite(
                     ranking=ranking,
                     curve=curve,
                     optimal_curve=optimal_curve,
-                    popt=cell_popt,
-                    budgets=tuple(per_budget),
+                    popt=popt(curve, optimal_curve, interpolation=interpolation),
+                    budgets=_budget_results(ranking, curve, d, budgets),
                 )
             )
 
@@ -146,3 +138,21 @@ def evaluate_suite(
             "popt_interpolation": interpolation,
         },
     )
+
+
+def _budget_results(ranking: RankedList, curve: CostEfficiencyCurve, d: Dataset,
+                    budgets) -> tuple[BudgetResult, ...]:
+    fractions = curve._xs[1:]
+    hits = np.concatenate(([0], np.cumsum(d.labels[ranking._index])))
+    results = []
+    for b in budgets:
+        cutoff = cutoff_from_fractions(fractions, b)
+        results.append(
+            BudgetResult(
+                budget=b,
+                value=curve.ys[cutoff],
+                cutoff=cutoff,
+                metrics=classification_metrics(confusion_from_hits(int(hits[cutoff]), cutoff, d)),
+            )
+        )
+    return tuple(results)

@@ -81,14 +81,14 @@ def confusion_at_cutoff(ranking: RankedList, d: Dataset, cutoff: int) -> Confusi
     """Treat the first `cutoff` ranked modules as estimated positive."""
     if not 0 <= cutoff <= d.n:
         raise ValueError(f"cutoff must be in [0, {d.n}], got {cutoff}")
-    labels = d.labels
-    positive = np.zeros(d.n, dtype=bool)
-    positive[list(ranking.order[:cutoff])] = True
-    tp = int(np.sum(positive & labels))
-    fp = int(np.sum(positive & ~labels))
-    fn = int(np.sum(~positive & labels))
-    tn = int(np.sum(~positive & ~labels))
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+    tp = int(np.count_nonzero(d.labels[ranking._index[:cutoff]]))
+    return confusion_from_hits(tp, cutoff, d)
+
+
+def confusion_from_hits(tp: int, cutoff: int, d: Dataset) -> ConfusionMatrix:
+    """The confusion matrix at a cutoff holding `tp` defective modules."""
+    fn = d.num_defective - tp
+    return ConfusionMatrix(tp=tp, fp=cutoff - tp, tn=d.n - cutoff - fn, fn=fn)
 
 
 def _ratio(num: float, den: float) -> float | None:
@@ -139,14 +139,11 @@ def roc_auc(scores, d: Dataset) -> float:
     if ap == 0 or an == 0:
         raise ValueError("ROC AUC needs both defective and clean modules")
 
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(d.n, dtype=float)
-    i = 0
-    while i < d.n:
-        j = i
-        while j + 1 < d.n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # average 1-based rank
-        i = j + 1
+    # Tied scores share the average of the 1-based ranks they span. The
+    # ranks are half-integers, so their sum is exact.
+    ordered = np.sort(values)
+    first = np.searchsorted(ordered, values, side="left")
+    past = np.searchsorted(ordered, values, side="right")
+    ranks = (first + past + 1) / 2.0
     positive_rank_sum = float(ranks[labels].sum())
     return (positive_rank_sum - ap * (ap + 1) / 2.0) / (ap * an)

@@ -272,9 +272,10 @@ def import_scores(path, d: Dataset, kind: str = "probability", match: str = "id"
             if module_id in by_id:
                 raise ValueError(f"{path.name}: duplicate id {module_id!r}")
             by_id[module_id] = _checked_score(row[1], kind, path.name)
-        wanted = [r.id for r in d.records]
+        wanted = d.ids
+        known = set(wanted)
         missing = [i for i in wanted if i not in by_id]
-        extra = [i for i in by_id if i not in set(wanted)]
+        extra = [i for i in by_id if i not in known]
         if missing or extra:
             parts = []
             if missing:

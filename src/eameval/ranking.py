@@ -3,52 +3,72 @@
 All rankings break remaining ties by dataset order, so results are fully
 deterministic. Score and density rankings additionally break score ties
 using the active effort driver (ascending by default; smaller modules
-first stretches a fixed budget over more modules).
+first stretches a fixed budget over more modules). Every ranking is one
+stable np.lexsort over (tie key, primary key).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import DataQualityWarning, Dataset
-from .effort import EffortDriver, driver_values
+from .effort import EffortDriver, driver_values, permutation_index
 
 TIE_BREAKS = ("asc", "desc", "input")
+POLICIES = ("score", "density", "optimal")
 
 
 @dataclass(frozen=True)
 class RankedList:
-    """A permutation of module indices plus the key that produced it."""
+    """A permutation of module indices plus the key that produced it.
+
+    order and key_values may be given as any sequences or arrays; they are
+    stored as tuples of Python ints and floats. The permutation is checked
+    here, once, and the checked index array is kept privately as _index,
+    which the package's curve, effort and metric functions read instead of
+    checking order again.
+    """
 
     order: tuple[int, ...]
     policy: str
     key_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("order is not a permutation of 0..n-1")
-        if len(self.key_values) != len(self.order):
+        index = permutation_index(self.order, len(self.order))
+        keys = np.asarray(self.key_values, dtype=float)
+        if keys.shape != index.shape:
             raise ValueError("one key value per module required")
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "order", tuple(index.tolist()))
+        object.__setattr__(self, "key_values", tuple(keys.tolist()))
 
 
-def _score_values(scores) -> np.ndarray:
-    return np.asarray(getattr(scores, "values", scores), dtype=float)
-
-
-def _tie_key(driver_vals: np.ndarray | None, tie_break: str, i: int):
-    if driver_vals is None or tie_break == "input":
-        return ()
-    value = driver_vals[i]
-    return (value,) if tie_break == "asc" else (-value,)
+def _score_values(scores, d: Dataset) -> np.ndarray:
+    values = np.asarray(getattr(scores, "values", scores), dtype=float)
+    if values.shape != (d.n,):
+        raise ValueError(f"expected {d.n} scores, got {values.shape}")
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        raise ValueError(f"NaN score for module {d.records[nan[0]].id!r}")
+    return values
 
 
 def _check_tie_break(tie_break: str) -> None:
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
+
+
+def _descending(key: np.ndarray, policy: str, d: Dataset, driver, tie_break: str) -> RankedList:
+    """Order by descending key, then by the driver tie key, then dataset order."""
+    if driver is None or tie_break == "input":
+        order = np.lexsort((-key,))
+    else:
+        tie = driver_values(driver, d)
+        order = np.lexsort((tie if tie_break == "asc" else -tie, -key))
+    return RankedList(order=order, policy=policy, key_values=key[order])
 
 
 def rank_by_score(
@@ -59,21 +79,8 @@ def rank_by_score(
 ) -> RankedList:
     """Rank modules by descending score."""
     _check_tie_break(tie_break)
-    values = _score_values(scores)
-    if values.shape != (d.n,):
-        raise ValueError(f"expected {d.n} scores, got {values.shape}")
-    for i, v in enumerate(values):
-        if math.isnan(v):
-            raise ValueError(f"NaN score for module {d.records[i].id!r}")
-    driver_vals = driver_values(driver, d) if driver is not None else None
-    order = sorted(
-        range(d.n), key=lambda i: (-values[i], *_tie_key(driver_vals, tie_break, i), i)
-    )
-    return RankedList(
-        order=tuple(order),
-        policy="score",
-        key_values=tuple(float(values[i]) for i in order),
-    )
+    values = _score_values(scores, d)
+    return _descending(values, "score", d, driver, tie_break)
 
 
 def rank_by_density(
@@ -89,12 +96,7 @@ def rank_by_density(
     are placed last and flagged with a warning. Their audit key is -inf.
     """
     _check_tie_break(tie_break)
-    values = _score_values(scores)
-    if values.shape != (d.n,):
-        raise ValueError(f"expected {d.n} scores, got {values.shape}")
-    for i, v in enumerate(values):
-        if math.isnan(v):
-            raise ValueError(f"NaN score for module {d.records[i].id!r}")
+    values = _score_values(scores, d)
     norm = d.measure_vector(norm_measure)
     zero = norm == 0
     if zero.any():
@@ -105,15 +107,7 @@ def rank_by_density(
             stacklevel=2,
         )
     density = np.where(zero, -np.inf, values / np.where(zero, 1.0, norm))
-    driver_vals = driver_values(driver, d) if driver is not None else None
-    order = sorted(
-        range(d.n), key=lambda i: (-density[i], *_tie_key(driver_vals, tie_break, i), i)
-    )
-    return RankedList(
-        order=tuple(order),
-        policy="density",
-        key_values=tuple(float(density[i]) for i in order),
-    )
+    return _descending(density, "density", d, driver, tie_break)
 
 
 def optimal_ranking(d: Dataset, driver: EffortDriver) -> RankedList:
@@ -122,12 +116,21 @@ def optimal_ranking(d: Dataset, driver: EffortDriver) -> RankedList:
     Defective modules first in ascending driver value, then the clean ones
     in ascending driver value; ties by dataset order. No other ordering
     finds more defective modules within the effort of any of its prefixes.
+    It depends only on the dataset and the driver: evaluate_suite builds it,
+    and its curve, once per driver and shares them among the grid's cells.
     """
     vals = driver_values(driver, d)
-    labels = d.labels
-    order = sorted(range(d.n), key=lambda i: (not labels[i], vals[i], i))
-    return RankedList(
-        order=tuple(order),
-        policy="optimal",
-        key_values=tuple(float(vals[i]) for i in order),
-    )
+    order = np.lexsort((vals, ~d.labels))
+    return RankedList(order=order, policy="optimal", key_values=vals[order])
+
+
+def rank(policy: str, scores, d: Dataset, driver: EffortDriver,
+         norm: str = "LOC", tie_break: str = "asc") -> RankedList:
+    """The ranking a named policy gives under a driver."""
+    if policy == "score":
+        return rank_by_score(scores, d, driver=driver, tie_break=tie_break)
+    if policy == "density":
+        return rank_by_density(scores, norm, d, driver=driver, tie_break=tie_break)
+    if policy == "optimal":
+        return optimal_ranking(d, driver)
+    raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")

@@ -137,6 +137,24 @@ class TestFatalErrors:
         with pytest.raises(ValueError, match="duplicate"):
             load_dataset(write(tmp_path / "t.csv", "LOC,LOC,Defective\n10,10,Y\n"))
 
+    def test_duplicate_module_id_names_id_and_both_rows(self, tmp_path):
+        text = "id,LOC,Defective\na,10,Y\nb,20,N\nc,5,N\nb,30,Y\n"
+        with pytest.raises(ValueError, match=r"duplicate module id 'b' in rows 3 and 5"):
+            load_dataset(write(tmp_path / "t.csv", text))
+
+    def test_duplicate_rows_counted_past_rejected_rows(self, tmp_path):
+        text = "id,LOC,Defective\nq,-1,N\na,10,Y\nr,x,N\nb,20,N\nc,5,N\nb,30,Y\n"
+        with pytest.warns(DataQualityWarning), pytest.raises(
+            ValueError, match=r"duplicate module id 'b' in rows 5 and 7"
+        ):
+            load_dataset(write(tmp_path / "t.csv", text))
+
+    def test_rejected_row_does_not_claim_its_id(self, tmp_path):
+        text = "id,LOC,Defective\na,10,Y\nb,x,N\nb,30,Y\n"
+        with pytest.warns(DataQualityWarning, match="row 3"):
+            d = load_dataset(write(tmp_path / "t.csv", text))
+        assert d.ids == ("a", "b")
+
     def test_entirely_non_numeric_column_is_fatal(self, tmp_path):
         path = write(tmp_path / "t.csv", "LOC,lang,Defective\n10,c,Y\n20,ada,N\n")
         with pytest.raises(ValueError, match="lang"):
@@ -223,6 +241,21 @@ class TestDatasetApi:
         assert d2.schema == ("LOC", "McCC", "density")
         assert toy.schema == ("LOC", "McCC")
         assert d2.measure_vector("density")[0] == 0.5
+
+    def test_columns_are_built_once_and_read_only(self, toy):
+        assert toy.measure_vector("LOC") is toy.measure_vector("LOC")
+        assert toy.labels is toy.labels
+        for column in (toy.measure_vector("LOC"), toy.labels):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_with_measure_carries_built_columns(self, toy):
+        loc, labels = toy.measure_vector("LOC"), toy.labels
+        d2 = toy.with_measure("density", [0.5, 0.1, 0.2, 0.3, 0.4])
+        assert d2.measure_vector("LOC") is loc
+        assert d2.labels is labels
+        assert d2.measure_vector("density").tolist() == [0.5, 0.1, 0.2, 0.3, 0.4]
+        assert [r.measures["density"] for r in d2.records] == [0.5, 0.1, 0.2, 0.3, 0.4]
 
     def test_with_measure_rejects_duplicate_name(self, toy):
         with pytest.raises(ValueError, match="already"):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from eameval.effort import EffortDriver
+import eameval.evaluate as evaluate_module
+from eameval.curves import cost_efficiency_curve, pofb_at, popt
+from eameval.effort import EffortDriver, budget_to_cutoff
 from eameval.evaluate import evaluate_suite
+from eameval.metrics import classification_metrics, confusion_at_cutoff
+from eameval.ranking import optimal_ranking, rank
 from eameval.report import report_dict
 
-from conftest import build_dataset
+from conftest import build_dataset, random_instance
 
 
 @pytest.fixture
@@ -72,6 +76,52 @@ class TestEvaluateSuite:
         assert suite.config["budgets"] == [0.2, 0.5]
         assert suite.config["drivers"] == ["LOC", "McCC"]
         assert suite.config["norm"] == "LOC"
+
+
+class TestSharedWork:
+    def test_optimal_ranking_built_once_per_driver(self, toy, toy_scores, monkeypatch):
+        calls = []
+
+        def counting(d, drv):
+            calls.append(drv.name)
+            return optimal_ranking(d, drv)
+
+        monkeypatch.setattr(evaluate_module, "optimal_ranking", counting)
+        drivers = [EffortDriver(measures=("LOC",)), EffortDriver(measures=("McCC",))]
+        report = evaluate_suite(toy, toy_scores, drivers, budgets=[0.5],
+                                policies=("score", "density", "optimal"))
+        assert sorted(calls) == ["LOC", "McCC"]
+        for cell in report.cells:
+            twin = next(c for c in report.cells if c.policy == "optimal" and c.driver == cell.driver)
+            assert cell.optimal_curve is twin.curve
+
+    @pytest.mark.parametrize("benefit", ["modules", "defects"])
+    @pytest.mark.parametrize("interpolation", ["linear", "step"])
+    def test_cells_match_function_by_function_path(self, benefit, interpolation):
+        rng = np.random.default_rng(11)
+        budgets = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]
+        for _ in range(40):
+            efforts, labels, scores = random_instance(rng, max_n=12)
+            counts = [int(rng.integers(1, 4)) if y else 0 for y in labels]
+            d = build_dataset({"m": efforts + 1.0, "e": efforts}, labels.tolist(), counts=counts)
+            drv = EffortDriver(measures=("e",))
+            report = evaluate_suite(d, scores, [drv], budgets,
+                                    policies=("score", "density", "optimal"), norm="m",
+                                    benefit=benefit, interpolation=interpolation)
+            best = cost_efficiency_curve(optimal_ranking(d, drv), drv, d, benefit=benefit)
+            for cell in report.cells:
+                ranking = rank(cell.policy, scores, d, drv, norm="m")
+                curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
+                assert cell.ranking == ranking
+                assert cell.curve == curve
+                assert cell.popt == popt(curve, best, interpolation=interpolation)
+                for b, result in zip(budgets, cell.budgets):
+                    cutoff = budget_to_cutoff(drv, ranking, d, b)
+                    assert result.cutoff == cutoff
+                    assert result.value == pofb_at(curve, b)
+                    assert result.metrics == classification_metrics(
+                        confusion_at_cutoff(ranking, d, cutoff)
+                    )
 
 
 class TestReportDict:

@@ -188,6 +188,30 @@ class TestRocAuc:
         got = roc_auc(np.array(scores, dtype=float), d)
         assert got == pytest.approx(auc_by_pair_enumeration(scores, labels), abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.sampled_from([-1.5, 0.0, 0.25, 0.25, 3.0]), st.booleans()),
+            min_size=2, max_size=40,
+        )
+    )
+    def test_heavy_ties_match_mann_whitney_count(self, pairs):
+        # few distinct scores, so most pairs tie; the brute-force count is
+        # exact in integers (doubled), and so are the half-integer rank sums
+        scores = [s for s, _ in pairs]
+        labels = [y for _, y in pairs]
+        ap = sum(labels)
+        an = len(labels) - ap
+        if ap == 0 or an == 0:
+            return
+        doubled = sum(
+            2 if p > q else 1 if p == q else 0
+            for p, y in pairs if y
+            for q, z in pairs if not z
+        )
+        d = build_dataset({"m": [1.0] * len(pairs)}, labels)
+        assert roc_auc(np.array(scores), d) == doubled / 2 / (ap * an)
+
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(3)
         labels = [True, False, True, False, False, True, False]

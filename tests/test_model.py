@@ -290,6 +290,13 @@ class TestImportScores:
         with pytest.raises(ValueError, match="E"):
             import_scores(path, toy, match="id")
 
+    def test_missing_and_unknown_ids_both_listed(self, tmp_path, toy):
+        path = tmp_path / "s.csv"
+        path.write_text("A,0.1\nB,0.2\nC,0.3\nYY,0.4\nZZ,0.5\n")
+        with pytest.raises(ValueError) as exc:
+            import_scores(path, toy, match="id")
+        assert "missing ids: D, E; unknown ids: YY, ZZ" in str(exc.value)
+
     def test_duplicate_id_rejected(self, tmp_path, toy):
         path = tmp_path / "s.csv"
         path.write_text("A,0.1\nA,0.2\nB,0.3\nC,0.4\nD,0.5\nE,0.6\n")

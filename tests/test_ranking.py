@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,19 @@ from conftest import build_dataset
 
 def ids_in_order(d, ranking):
     return [d.records[i].id for i in ranking.order]
+
+
+def sorted_reference(keys, tie_values, tie_break):
+    """The sorted-key ordering the rankings are defined by: descending key,
+    then the driver value (ascending, descending, or not at all), then
+    dataset order. The lexsort rankings must reproduce it exactly."""
+
+    def tie(i):
+        if tie_values is None or tie_break == "input":
+            return ()
+        return (tie_values[i],) if tie_break == "asc" else (-tie_values[i],)
+
+    return tuple(sorted(range(len(keys)), key=lambda i: (-keys[i], *tie(i), i)))
 
 
 class TestScoreRanking:
@@ -186,10 +200,61 @@ class TestOptimalRanking:
             assert all(not f for f in flags[first_clean:])
 
 
+class TestLexsortMatchesSortedReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 3),                    # score: heavy ties
+                st.sampled_from([0.0, 1.0, 2.0, 5.0]),  # LOC: ties and zeros
+                st.booleans(),
+            ),
+            min_size=1, max_size=25,
+        ),
+        tie_break=st.sampled_from(TIE_BREAKS),
+        with_driver=st.booleans(),
+    )
+    def test_score_density_and_optimal(self, rows, tie_break, with_driver):
+        scores = np.array([s / 4 for s, _, _ in rows])
+        loc = [m for _, m, _ in rows]
+        labels = [y for _, _, y in rows]
+        d = build_dataset({"LOC": loc}, labels)
+        drv = EffortDriver(measures=("LOC",))
+        tie_values = np.array(loc) if with_driver else None
+        driver = drv if with_driver else None
+
+        r = rank_by_score(scores, d, driver=driver, tie_break=tie_break)
+        assert r.order == sorted_reference(scores, tie_values, tie_break)
+        assert r.key_values == tuple(float(scores[i]) for i in r.order)
+
+        zero = np.array(loc) == 0
+        density = np.where(zero, -np.inf, scores / np.where(zero, 1.0, loc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DataQualityWarning)
+            r = rank_by_density(scores, "LOC", d, driver=driver, tie_break=tie_break)
+        assert r.order == sorted_reference(density, tie_values, tie_break)
+        assert r.key_values == tuple(float(density[i]) for i in r.order)
+
+        r = optimal_ranking(d, drv)
+        assert r.order == tuple(sorted(range(d.n), key=lambda i: (not labels[i], loc[i], i)))
+        assert r.key_values == tuple(float(loc[i]) for i in r.order)
+
+
 class TestRankedList:
     def test_permutation_validated(self):
         with pytest.raises(ValueError):
             RankedList(order=(0, 0, 1), policy="score", key_values=(3.0, 2.0, 1.0))
+
+    def test_out_of_range_and_non_integer_indices_rejected(self):
+        with pytest.raises(ValueError):
+            RankedList(order=(0, 3, 1), policy="score", key_values=(3.0, 2.0, 1.0))
+        with pytest.raises(ValueError):
+            RankedList(order=(0.0, 1.0), policy="score", key_values=(2.0, 1.0))
+
+    def test_arrays_stored_as_python_tuples(self):
+        r = RankedList(order=np.array([1, 0]), policy="score", key_values=np.array([2.0, 1.0]))
+        assert r.order == (1, 0) and type(r.order[0]) is int
+        assert r.key_values == (2.0, 1.0) and type(r.key_values[0]) is float
 
     def test_key_length_validated(self):
         with pytest.raises(ValueError):
