@@ -9,20 +9,12 @@ metrics at each effort budget.
 __version__ = "0.1.0"
 
 from .curves import CostEfficiencyCurve, cost_efficiency_curve, pofb_at, popt
-from .dataset import (
-    DataQualityWarning,
-    Dataset,
-    ModuleRecord,
-    load_dataset,
-    prevalence,
-    save_dataset,
-)
+from .dataset import DataQualityWarning, Dataset, load_dataset, save_dataset
 from .effort import (
     EffortDriver,
     budget_to_cutoff,
     cumulative_effort_fractions,
     driver_values,
-    module_effort,
     parse_driver,
 )
 from .evaluate import EvaluationCell, EvaluationReport, evaluate_suite

@@ -21,20 +21,19 @@ BENEFIT_MODES = ("modules", "defects")
 INTERPOLATIONS = ("linear", "step")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostEfficiencyCurve:
     """Monotone curve from (0, 0) to (1, 1), one point per whole module.
 
-    xs and ys have length n+1 including the origin. The driver name,
-    ranking policy, and benefit mode are carried along so that curves are
-    only ever compared when they actually describe the same experiment.
-    The shape is checked here, vectorised, when the curve is built; xs and
-    ys are stored as tuples of Python floats, and as read-only arrays
-    (_xs, _ys) that the readings and areas below use.
+    xs and ys have length n+1 including the origin and are stored as
+    read-only float arrays. The driver name, ranking policy, and benefit
+    mode are carried along so that curves are only ever compared when they
+    actually describe the same experiment. The shape is checked here,
+    vectorised, when the curve is built, and nowhere else.
     """
 
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
+    xs: np.ndarray
+    ys: np.ndarray
     driver: str
     policy: str
     benefit: str
@@ -54,14 +53,13 @@ class CostEfficiencyCurve:
             raise ValueError("benefit must be non-decreasing")
         xs.flags.writeable = False
         ys.flags.writeable = False
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_ys", ys)
-        object.__setattr__(self, "xs", tuple(xs.tolist()))
-        object.__setattr__(self, "ys", tuple(ys.tolist()))
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.xs, self.ys))
+        """The (x, y) pairs as Python floats, for writers that print them."""
+        return tuple(zip(self.xs.tolist(), self.ys.tolist()))
 
 
 def _benefit_weights(d: Dataset, benefit: str) -> np.ndarray:
@@ -94,7 +92,7 @@ def cost_efficiency_curve(
     """
     fractions = cumulative_effort_fractions(drv, ranking, d)
     weights = _benefit_weights(d, benefit)
-    found = np.cumsum(weights[ranking._index]) / weights.sum()
+    found = np.cumsum(weights[ranking.order]) / weights.sum()
     found[-1] = 1.0
     return CostEfficiencyCurve(
         xs=np.concatenate(([0.0], fractions)),
@@ -114,12 +112,12 @@ def pofb_at(curve: CostEfficiencyCurve, budget: float) -> float:
     """
     if not 0.0 <= budget <= 1.0:
         raise ValueError(f"budget must be in [0, 1], got {budget}")
-    k = int(np.searchsorted(curve._xs, budget + BUDGET_TOL, side="right")) - 1
-    return curve.ys[k]
+    k = int(np.searchsorted(curve.xs, budget + BUDGET_TOL, side="right")) - 1
+    return float(curve.ys[k])
 
 
 def _polyline_area(curve: CostEfficiencyCurve, interpolation: str) -> float:
-    xs, ys = curve._xs, curve._ys
+    xs, ys = curve.xs, curve.ys
     widths = np.diff(xs)
     if interpolation == "linear":
         return float(np.sum(widths * (ys[1:] + ys[:-1]) / 2.0))

@@ -13,8 +13,10 @@ import csv
 import json
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,51 +28,54 @@ class DataQualityWarning(UserWarning):
     """A row was rejected or specially handled while processing a dataset."""
 
 
-@dataclass(frozen=True)
-class ModuleRecord:
-    """One software module: named code measures plus its defect label."""
-
-    id: str
-    measures: dict[str, float]
-    defective: bool
-    defect_count: int | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable ordered collection of modules with a fixed measure schema.
+    """Immutable ordered collection of modules, stored column by column.
 
-    Record order is preserved verbatim from the source file; it is the
-    final tie-breaking key for every ranking, so it must never be shuffled.
-    The label, defect-count and measure columns are built from the records
-    once, on first use, as read-only arrays; with_measure hands the columns
-    already built on to the new dataset.
+    ids is a tuple of module ids; labels (bool), the optional defect_counts
+    (float; None when the data carries no counts) and one float column per
+    measure, keyed by name in schema order, are read-only 1-D arrays of one
+    length. Module order is preserved verbatim from the source file; it is
+    the final tie-breaking key for every ranking, so it must never be
+    shuffled. The constructor is the one place the columns are checked: at
+    least one module, equal lengths, finite non-negative measures. An array
+    passed in that is already read-only is shared, not copied, so
+    with_measure hands every existing column on to the new dataset.
     """
 
-    records: tuple[ModuleRecord, ...]
-    schema: tuple[str, ...]
+    ids: tuple[str, ...]
+    labels: np.ndarray
+    measures: Mapping[str, np.ndarray]
+    defect_counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not self.records:
+        ids = tuple(self.ids)
+        n = len(ids)
+        if n == 0:
             raise ValueError("dataset must contain at least one module")
-        schema = set(self.schema)
-        for r in self.records:
-            if r.measures.keys() != schema:
-                raise ValueError(f"module {r.id!r} does not match the measure schema")
-        object.__setattr__(self, "_columns", {})
+        measures = {}
+        for name, values in self.measures.items():
+            column = _read_only(values, float, n, f"measure {name!r}")
+            bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0)))
+            if bad.size:
+                raise ValueError(
+                    f"measure {name!r} of module {ids[bad[0]]!r} must be finite and non-negative"
+                )
+            measures[name] = column
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "labels", _read_only(self.labels, bool, n, "labels"))
+        object.__setattr__(self, "measures", MappingProxyType(measures))
+        if self.defect_counts is not None:
+            counts = _read_only(self.defect_counts, float, n, "defect counts")
+            object.__setattr__(self, "defect_counts", counts)
 
-    def _column(self, key: str, build):
-        columns = self._columns
-        if key not in columns:
-            column = build()
-            if column is not None:
-                column.flags.writeable = False
-            columns[key] = column
-        return columns[key]
+    @property
+    def schema(self) -> tuple[str, ...]:
+        return tuple(self.measures)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     @property
     def num_defective(self) -> int:
@@ -85,61 +90,29 @@ class Dataset:
         """Fraction of modules that are actually defective."""
         return self.num_defective / self.n
 
-    @property
-    def labels(self) -> np.ndarray:
-        return self._column(
-            "label", lambda: np.array([r.defective for r in self.records], dtype=bool)
-        )
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.records)
-
-    @property
-    def defect_counts(self) -> np.ndarray | None:
-        """Per-module defect counts in record order, or None if any are absent."""
-
-        def build():
-            counts = [r.defect_count for r in self.records]
-            if any(c is None for c in counts):
-                return None
-            return np.array(counts, dtype=float)
-
-        return self._column("count", build)
-
     def measure_vector(self, name: str) -> np.ndarray:
-        """Values of one measure in record order (a read-only array)."""
-        if name not in self.schema:
+        """Values of one measure in module order (a read-only array)."""
+        if name not in self.measures:
             available = ", ".join(self.schema)
             raise ValueError(f"unknown measure {name!r}; available: {available}")
-        return self._column(
-            "measure:" + name,
-            lambda: np.array([r.measures[name] for r in self.records], dtype=float),
-        )
+        return self.measures[name]
 
     def with_measure(self, name: str, values) -> "Dataset":
         """A new Dataset with an extra measure column appended."""
-        if name in self.schema:
+        if name in self.measures:
             raise ValueError(f"measure {name!r} already present")
-        values = np.array(values, dtype=float)
-        if values.shape != (self.n,):
-            raise ValueError(f"expected {self.n} values for measure {name!r}")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError(f"measure {name!r} must be finite and non-negative")
-        records = tuple(
-            ModuleRecord(
-                id=r.id,
-                measures={**r.measures, name: v},
-                defective=r.defective,
-                defect_count=r.defect_count,
-            )
-            for r, v in zip(self.records, values.tolist())
-        )
-        derived = Dataset(records=records, schema=self.schema + (name,))
-        values.flags.writeable = False
-        derived._columns.update(self._columns)
-        derived._columns["measure:" + name] = values
-        return derived
+        return Dataset(self.ids, self.labels, {**self.measures, name: values}, self.defect_counts)
+
+
+def _read_only(values, dtype, n: int, what: str) -> np.ndarray:
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        column = values
+    else:
+        column = np.array(values, dtype=dtype)
+    if column.shape != (n,):
+        raise ValueError(f"expected {n} values for {what}, got shape {column.shape}")
+    column.flags.writeable = False
+    return column
 
 
 def _parse_bool(cell: str) -> bool | None:
@@ -257,7 +230,8 @@ def load_dataset(
             stacklevel=3,
         )
 
-    records = []
+    ids, labels, counts = [], [], []
+    columns = [[] for _ in measure_columns]
     for ordinal, row in enumerate(data_rows, start=1):
         file_row = ordinal + 1  # header occupies row 1
         if len(row) != len(header):
@@ -269,7 +243,7 @@ def load_dataset(
             reject(file_row, f"unparseable label {row[col_index[label_column]]!r}")
             continue
 
-        measures = {}
+        values = []
         bad_cell = None
         for name in measure_columns:
             value = _parse_finite(row[col_index[name]])
@@ -279,12 +253,11 @@ def load_dataset(
             if value < 0:
                 bad_cell = f"measure {name!r} is negative"
                 break
-            measures[name] = value
+            values.append(value)
         if bad_cell:
             reject(file_row, bad_cell)
             continue
 
-        defect_count = None
         if count_column is not None:
             raw = _parse_finite(row[col_index[count_column]])
             if raw is None or raw < 0 or abs(raw - round(raw)) > 1e-9:
@@ -294,33 +267,34 @@ def load_dataset(
             if (defect_count > 0) != defective:
                 reject(file_row, f"defect count {defect_count} contradicts label")
                 continue
+            counts.append(defect_count)
 
-        module_id = row[col_index[id_column]].strip() if id_column else str(ordinal)
-        records.append(
-            ModuleRecord(
-                id=module_id,
-                measures=measures,
-                defective=defective,
-                defect_count=defect_count,
-            )
-        )
+        ids.append(row[col_index[id_column]].strip() if id_column else str(ordinal))
+        labels.append(defective)
+        for column, value in zip(columns, values):
+            column.append(value)
 
-    if not records:
+    if not ids:
         raise ValueError(f"{path.name}: empty dataset after filtering")
     del rows, data_rows  # free the raw cells before the id check
-    _check_unique_ids(path.name, records, rejected_rows)
-    return Dataset(records=tuple(records), schema=tuple(measure_columns))
+    _check_unique_ids(path.name, ids, rejected_rows)
+    return Dataset(
+        ids=ids,
+        labels=labels,
+        measures=dict(zip(measure_columns, columns)),
+        defect_counts=counts if count_column is not None else None,
+    )
 
 
-def _check_unique_ids(filename: str, records, rejected_rows) -> None:
+def _check_unique_ids(filename: str, ids, rejected_rows) -> None:
     # Sorted 64-bit string hashes find the common case, no repeated id, in
     # a fraction of the memory a set of 100k ids takes; a repeated hash is
     # then resolved exactly.
-    hashes = np.sort(np.fromiter((hash(r.id) for r in records), dtype=np.int64, count=len(records)))
+    hashes = np.sort(np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids)))
     if not np.any(hashes[1:] == hashes[:-1]):
         return
     first: dict[str, int] = {}
-    for k, module_id in enumerate(r.id for r in records):
+    for k, module_id in enumerate(ids):
         j = first.setdefault(module_id, k)
         if j != k:
             a, b = (_file_row(i, rejected_rows) for i in (j, k))
@@ -339,24 +313,17 @@ def _file_row(k: int, rejected_rows) -> int:
 def save_dataset(d: Dataset, path) -> None:
     """Write a Dataset back to CSV so that load_dataset reproduces it exactly.
 
-    Floats are written with repr (shortest round-trip form). The defect
-    count column is written only when every record carries one.
+    Floats are written in their shortest round-trip form. The defect count
+    column is written only when the dataset carries counts.
     """
     path = Path(path)
-    with_counts = all(r.defect_count is not None for r in d.records)
+    with_counts = d.defect_counts is not None
     header = ["id", *d.schema, "Defective"] + (["defect_count"] if with_counts else [])
+    columns = [d.ids, *(d.measures[name].tolist() for name in d.schema)]
+    columns.append(["Y" if defective else "N" for defective in d.labels.tolist()])
+    if with_counts:
+        columns.append(d.defect_counts.astype(int).tolist())
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in d.records:
-            row = [r.id]
-            row += [repr(r.measures[name]) for name in d.schema]
-            row.append("Y" if r.defective else "N")
-            if with_counts:
-                row.append(str(r.defect_count))
-            writer.writerow(row)
-
-
-def prevalence(d: Dataset) -> float:
-    """Fraction of actually defective modules, in [0, 1]."""
-    return d.prevalence
+        writer.writerows(zip(*columns))

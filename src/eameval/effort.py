@@ -2,8 +2,8 @@
 
 A driver assigns each module the effort its analysis is assumed to cost,
 either proportional to a single measure or to a weighted combination of
-two measures. Only effort fractions matter downstream, so the unit cost
-cancels everywhere.
+two measures. Only effort fractions matter downstream, so any unit or
+constant cost factor cancels everywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, ModuleRecord
+from .dataset import Dataset
 
 # Budget comparisons tolerate float accumulation from the cumulative sums.
 BUDGET_TOL = 1e-12
@@ -22,15 +22,14 @@ BUDGET_TOL = 1e-12
 class EffortDriver:
     """Rule mapping a module to analysis effort.
 
-    Single form: effort = unit_cost * measure. Composite form: effort =
-    unit_cost * (weight * first + (1 - weight) * second), combining the raw
-    measure values; set normalize=True to min-max normalize each measure
-    over the dataset before combining.
+    Single form: effort = measure. Composite form: effort = weight * first
+    + (1 - weight) * second, combining the raw measure values; set
+    normalize=True to min-max normalize each measure over the dataset
+    before combining.
     """
 
     measures: tuple[str, ...]
     weight: float | None = None
-    unit_cost: float = 1.0
     normalize: bool = False
 
     def __post_init__(self) -> None:
@@ -40,8 +39,6 @@ class EffortDriver:
             raise ValueError("weight must be given exactly for composite drivers")
         if self.weight is not None and not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"composite weight must be in [0, 1], got {self.weight}")
-        if not self.unit_cost > 0:
-            raise ValueError(f"unit cost must be positive, got {self.unit_cost}")
         if self.normalize and not self.is_composite:
             raise ValueError("normalize applies to composite drivers only")
 
@@ -79,29 +76,16 @@ def parse_driver(text: str) -> EffortDriver:
     return EffortDriver(measures=(parts[0], parts[1]), weight=weight, normalize=normalize)
 
 
-def module_effort(drv: EffortDriver, record: ModuleRecord) -> float:
-    """Effort of analyzing a single module, in the driver's (arbitrary) units."""
-    try:
-        values = [record.measures[name] for name in drv.measures]
-    except KeyError as exc:
-        raise ValueError(f"module {record.id!r} lacks measure {exc.args[0]!r}") from None
-    if not drv.is_composite:
-        return drv.unit_cost * values[0]
-    if drv.normalize:
-        raise ValueError("normalized composite effort is dataset-relative; use driver_values")
-    return drv.unit_cost * (drv.weight * values[0] + (1.0 - drv.weight) * values[1])
-
-
 def driver_values(drv: EffortDriver, d: Dataset) -> np.ndarray:
     """Per-module effort values in dataset order."""
     if not drv.is_composite:
-        return drv.unit_cost * d.measure_vector(drv.measures[0])
+        return d.measure_vector(drv.measures[0])
     first = d.measure_vector(drv.measures[0])
     second = d.measure_vector(drv.measures[1])
     if drv.normalize:
         first = _min_max(first, drv.measures[0])
         second = _min_max(second, drv.measures[1])
-    return drv.unit_cost * (drv.weight * first + (1.0 - drv.weight) * second)
+    return drv.weight * first + (1.0 - drv.weight) * second
 
 
 def _min_max(values: np.ndarray, name: str) -> np.ndarray:
@@ -114,19 +98,22 @@ def _min_max(values: np.ndarray, name: str) -> np.ndarray:
 def permutation_index(order, n: int) -> np.ndarray:
     """A ranking's module indices as a read-only array, checked to permute 0..n-1.
 
-    A RankedList was checked when it was built, so its index array is
+    A RankedList's order was checked when the list was built, so it is
     returned as is; any other index sequence is checked here, vectorised.
     """
-    index = getattr(order, "_index", None)
-    if index is None:
-        index = np.array(order)
-        if index.size == 0:
-            index = index.astype(np.intp)
-        if index.dtype.kind not in "iu" or not np.array_equal(np.sort(index), np.arange(n)):
+    from .ranking import RankedList  # ranking imports this module
+
+    if isinstance(order, RankedList):
+        index = order.order
+        if len(index) != n:
             raise ValueError(f"order is not a permutation of 0..{n - 1}")
-        index.flags.writeable = False
-    elif len(index) != n:
+        return index
+    index = np.array(order)
+    if index.size == 0:
+        index = index.astype(np.intp)
+    if index.dtype.kind not in "iu" or not np.array_equal(np.sort(index), np.arange(n)):
         raise ValueError(f"order is not a permutation of 0..{n - 1}")
+    index.flags.writeable = False
     return index
 
 
@@ -134,7 +121,7 @@ def cumulative_effort_fractions(drv: EffortDriver, order, d: Dataset) -> np.ndar
     """Cumulative effort fraction after each whole module along the ranking.
 
     Entry k is the effort of the first k+1 modules divided by the whole
-    system's effort; the unit cost cancels. The last entry is exactly 1.
+    system's effort, so effort units cancel. The last entry is exactly 1.
     """
     idx = permutation_index(order, d.n)
     values = driver_values(drv, d)

@@ -20,7 +20,7 @@ from .metrics import (
     confusion_from_hits,
     roc_auc,
 )
-from .ranking import RankedList, optimal_ranking, rank
+from .ranking import RankedList, checked_scores, optimal_ranking, rank
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,10 @@ def evaluate_suite(
     """Evaluate the scores under every (policy, driver) combination.
 
     budgets may be empty, in which case only curves and Popt are produced.
-    The AUC is ranking-free and reported once; it is None when the dataset
-    has a single class (both classes are required for it to exist).
+    The scores are checked up front, whatever the policies: one per module,
+    none NaN. The AUC is ranking-free and reported once; it is None when
+    the dataset has a single class (both classes are required for it to
+    exist).
 
     The optimal ranking and its curve depend only on the driver, so each is
     computed once per driver and shared by that driver's cells; the
@@ -85,6 +87,7 @@ def evaluate_suite(
     for b in budgets:
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"budget must be in [0, 1], got {b}")
+    scores = checked_scores(scores, d)
 
     optimal: dict[EffortDriver, tuple[RankedList, CostEfficiencyCurve]] = {}
 
@@ -115,11 +118,7 @@ def evaluate_suite(
                 )
             )
 
-    try:
-        auc = roc_auc(scores, d)
-    except ValueError:
-        auc = None
-
+    auc = roc_auc(scores, d) if 0 < d.num_defective < d.n else None
     return EvaluationReport(
         dataset_name=dataset_name,
         n=d.n,
@@ -142,15 +141,15 @@ def evaluate_suite(
 
 def _budget_results(ranking: RankedList, curve: CostEfficiencyCurve, d: Dataset,
                     budgets) -> tuple[BudgetResult, ...]:
-    fractions = curve._xs[1:]
-    hits = np.concatenate(([0], np.cumsum(d.labels[ranking._index])))
+    fractions = curve.xs[1:]
+    hits = np.concatenate(([0], np.cumsum(d.labels[ranking.order])))
     results = []
     for b in budgets:
         cutoff = cutoff_from_fractions(fractions, b)
         results.append(
             BudgetResult(
                 budget=b,
-                value=curve.ys[cutoff],
+                value=float(curve.ys[cutoff]),
                 cutoff=cutoff,
                 metrics=classification_metrics(confusion_from_hits(int(hits[cutoff]), cutoff, d)),
             )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .ranking import RankedList
+from .ranking import RankedList, checked_scores
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def confusion_at_cutoff(ranking: RankedList, d: Dataset, cutoff: int) -> Confusi
     """Treat the first `cutoff` ranked modules as estimated positive."""
     if not 0 <= cutoff <= d.n:
         raise ValueError(f"cutoff must be in [0, {d.n}], got {cutoff}")
-    tp = int(np.count_nonzero(d.labels[ranking._index[:cutoff]]))
+    tp = int(np.count_nonzero(d.labels[ranking.order[:cutoff]]))
     return confusion_from_hits(tp, cutoff, d)
 
 
@@ -129,10 +129,12 @@ def classification_metrics(c: ConfusionMatrix) -> ClassificationMetrics:
 
 
 def roc_auc(scores, d: Dataset) -> float:
-    """Mann-Whitney (rank-based) ROC AUC with half credit for score ties."""
-    values = np.asarray(getattr(scores, "values", scores), dtype=float)
-    if values.shape != (d.n,):
-        raise ValueError(f"expected {d.n} scores, got {values.shape}")
+    """Mann-Whitney (rank-based) ROC AUC with half credit for score ties.
+
+    The scores get the rankings' check: one per module, a NaN rejected with
+    its module named.
+    """
+    values = checked_scores(scores, d)
     labels = d.labels
     ap = int(labels.sum())
     an = d.n - ap

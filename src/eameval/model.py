@@ -106,7 +106,7 @@ def derive_predictor(d: Dataset, spec: str) -> Dataset:
     if zero_rows.size:
         row = int(zero_rows[0])
         raise ValueError(
-            f"cannot derive {spec!r}: {parts[1]} is zero in row {row} (module {d.records[row].id!r})"
+            f"cannot derive {spec!r}: {parts[1]} is zero in row {row} (module {d.ids[row]!r})"
         )
     return d.with_measure(spec, numerator / denominator)
 

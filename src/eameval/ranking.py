@@ -21,38 +21,38 @@ TIE_BREAKS = ("asc", "desc", "input")
 POLICIES = ("score", "density", "optimal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedList:
     """A permutation of module indices plus the key that produced it.
 
     order and key_values may be given as any sequences or arrays; they are
-    stored as tuples of Python ints and floats. The permutation is checked
-    here, once, and the checked index array is kept privately as _index,
-    which the package's curve, effort and metric functions read instead of
-    checking order again.
+    stored as read-only arrays (integer indices, float keys). The
+    permutation is checked here, once; the package's curve, effort and
+    metric functions read order without checking it again.
     """
 
-    order: tuple[int, ...]
+    order: np.ndarray
     policy: str
-    key_values: tuple[float, ...]
+    key_values: np.ndarray
 
     def __post_init__(self) -> None:
-        index = permutation_index(self.order, len(self.order))
-        keys = np.asarray(self.key_values, dtype=float)
-        if keys.shape != index.shape:
+        order = permutation_index(self.order, len(self.order))
+        keys = np.array(self.key_values, dtype=float)
+        if keys.shape != order.shape:
             raise ValueError("one key value per module required")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "order", tuple(index.tolist()))
-        object.__setattr__(self, "key_values", tuple(keys.tolist()))
+        keys.flags.writeable = False
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "key_values", keys)
 
 
-def _score_values(scores, d: Dataset) -> np.ndarray:
+def checked_scores(scores, d: Dataset) -> np.ndarray:
+    """Scores (a ScoreVector or any sequence) as floats, one per module, none NaN."""
     values = np.asarray(getattr(scores, "values", scores), dtype=float)
     if values.shape != (d.n,):
         raise ValueError(f"expected {d.n} scores, got {values.shape}")
     nan = np.flatnonzero(np.isnan(values))
     if nan.size:
-        raise ValueError(f"NaN score for module {d.records[nan[0]].id!r}")
+        raise ValueError(f"NaN score for module {d.ids[nan[0]]!r}")
     return values
 
 
@@ -79,7 +79,7 @@ def rank_by_score(
 ) -> RankedList:
     """Rank modules by descending score."""
     _check_tie_break(tie_break)
-    values = _score_values(scores, d)
+    values = checked_scores(scores, d)
     return _descending(values, "score", d, driver, tie_break)
 
 
@@ -96,11 +96,11 @@ def rank_by_density(
     are placed last and flagged with a warning. Their audit key is -inf.
     """
     _check_tie_break(tie_break)
-    values = _score_values(scores, d)
+    values = checked_scores(scores, d)
     norm = d.measure_vector(norm_measure)
     zero = norm == 0
     if zero.any():
-        flagged = ", ".join(d.records[i].id for i in np.flatnonzero(zero))
+        flagged = ", ".join(d.ids[i] for i in np.flatnonzero(zero))
         warnings.warn(
             f"{int(zero.sum())} module(s) with zero {norm_measure} ranked last: {flagged}",
             DataQualityWarning,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import cost_efficiency_curve, pofb_at, popt
-from .dataset import Dataset, ModuleRecord
+from .dataset import Dataset
 from .effort import EffortDriver, budget_to_cutoff, cumulative_effort_fractions
 from .metrics import classification_metrics, confusion_at_cutoff, roc_auc
 from .model import ScoreVector, fit_blr, log_likelihood_and_gradient, predict_proba
@@ -23,18 +23,11 @@ MCCC = EffortDriver(measures=("McCC",))
 
 def toy_dataset() -> Dataset:
     """Five modules A..E; A, C, E defective; scores rank them A first."""
-    rows = [
-        ("A", 10.0, 5.0, True),
-        ("B", 20.0, 1.0, False),
-        ("C", 30.0, 9.0, True),
-        ("D", 40.0, 2.0, False),
-        ("E", 100.0, 3.0, True),
-    ]
-    records = tuple(
-        ModuleRecord(id=i, measures={"LOC": loc, "McCC": mccc}, defective=label)
-        for i, loc, mccc, label in rows
+    return Dataset(
+        ids=("A", "B", "C", "D", "E"),
+        labels=[True, False, True, False, True],
+        measures={"LOC": [10.0, 20.0, 30.0, 40.0, 100.0], "McCC": [5.0, 1.0, 9.0, 2.0, 3.0]},
     )
-    return Dataset(records=records, schema=("LOC", "McCC"))
 
 
 def toy_scores() -> ScoreVector:
@@ -97,10 +90,9 @@ def check_confusion() -> None:
 
 def check_optimal_orders() -> None:
     d = toy_dataset()
-    ids = [r.id for r in d.records]
-    loc_order = [ids[i] for i in optimal_ranking(d, LOC).order]
+    loc_order = [d.ids[i] for i in optimal_ranking(d, LOC).order]
     _expect(loc_order == ["A", "C", "E", "B", "D"], f"optimal LOC order {loc_order}")
-    mccc_order = [ids[i] for i in optimal_ranking(d, MCCC).order]
+    mccc_order = [d.ids[i] for i in optimal_ranking(d, MCCC).order]
     _expect(mccc_order == ["E", "A", "C", "B", "D"], f"optimal McCC order {mccc_order}")
 
 
@@ -133,11 +125,9 @@ def check_auc() -> None:
     d = toy_dataset()
     _expect(roc_auc(toy_scores(), d) == 0.5, "toy AUC != 0.5")
     four = Dataset(
-        records=tuple(
-            ModuleRecord(id=str(i), measures={"LOC": 1.0}, defective=lab)
-            for i, lab in enumerate([True, False, True, False])
-        ),
-        schema=("LOC",),
+        ids=("0", "1", "2", "3"),
+        labels=[True, False, True, False],
+        measures={"LOC": [1.0, 1.0, 1.0, 1.0]},
     )
     perfect = roc_auc(ScoreVector(values=[0.9, 0.4, 0.6, 0.2], kind="probability"), four)
     _expect(perfect == 1.0, f"separable AUC {perfect} != 1.0")

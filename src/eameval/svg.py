@@ -41,8 +41,8 @@ def render_curves(
 ) -> None:
     """Write an SVG overlaying unit-square curves.
 
-    series is a list of (label, xs, ys) triples; colors cycle through a
-    fixed palette. The dashed gray diagonal (random module selection) is
+    series is a list of (label, xs, ys) triples, xs and ys lists of Python
+    floats (a curve's xs.tolist()); colors cycle through a fixed palette. The dashed gray diagonal (random module selection) is
     always drawn.
     """
     parts = [

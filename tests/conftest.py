@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eameval.dataset import Dataset, ModuleRecord, load_dataset
+from eameval.dataset import Dataset, load_dataset
 from eameval.effort import EffortDriver
 from eameval.model import ScoreVector
 
@@ -24,23 +24,9 @@ MCCC_COLUMNS = ("CYCLOMATIC_COMPLEXITY", "McCC", "mccc", "v(g)")
 
 def build_dataset(measures: dict, labels, counts=None, ids=None) -> Dataset:
     """Assemble a Dataset directly from measure columns and labels."""
-    labels = [bool(b) for b in labels]
-    n = len(labels)
-    schema = tuple(measures)
     if ids is None:
-        ids = [str(i + 1) for i in range(n)]
-    if counts is None:
-        counts = [None] * n
-    records = tuple(
-        ModuleRecord(
-            id=ids[i],
-            measures={name: float(measures[name][i]) for name in schema},
-            defective=labels[i],
-            defect_count=counts[i],
-        )
-        for i in range(n)
-    )
-    return Dataset(records=records, schema=schema)
+        ids = [str(i + 1) for i in range(len(labels))]
+    return Dataset(ids=ids, labels=labels, measures=measures, defect_counts=counts)
 
 
 @pytest.fixture

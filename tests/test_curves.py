@@ -44,7 +44,7 @@ def toy_curves(toy, toy_scores, loc_driver):
 class TestCurveConstruction:
     def test_toy_loc_points(self, toy_curves):
         model, _ = toy_curves
-        assert list(model.xs) == [0.0, 0.05, 0.15, 0.30, 0.50, 1.00]
+        assert model.xs.tolist() == [0.0, 0.05, 0.15, 0.30, 0.50, 1.00]
         assert model.ys[0] == 0.0
         assert model.ys[1] == pytest.approx(1 / 3)
         assert model.ys[2] == pytest.approx(1 / 3)
@@ -54,7 +54,7 @@ class TestCurveConstruction:
 
     def test_toy_optimal_loc_points(self, toy_curves):
         _, optimal = toy_curves
-        assert list(optimal.xs) == [0.0, 0.05, 0.20, 0.70, 0.80, 1.00]
+        assert optimal.xs.tolist() == [0.0, 0.05, 0.20, 0.70, 0.80, 1.00]
         assert [round(y, 10) for y in optimal.ys] == [
             0.0,
             round(1 / 3, 10),
@@ -67,7 +67,7 @@ class TestCurveConstruction:
     def test_toy_mccc_points(self, toy, toy_scores, mccc_driver):
         ranking = rank_by_score(toy_scores, toy, driver=mccc_driver)
         curve = cost_efficiency_curve(ranking, mccc_driver, toy)
-        assert list(curve.xs) == [0.0, 0.25, 0.30, 0.75, 0.85, 1.00]
+        assert curve.xs.tolist() == [0.0, 0.25, 0.30, 0.75, 0.85, 1.00]
 
     def test_endpoints_are_pinned(self, toy_curves):
         for curve in toy_curves:
@@ -266,7 +266,7 @@ class TestScaleProportionality:
             drv_s, drv_q = EffortDriver(measures=("s",)), EffortDriver(measures=("q",))
             rank_s = rank_by_score(scores, d, driver=drv_s)
             rank_q = rank_by_score(scores, d, driver=drv_q)
-            assert rank_s.order == rank_q.order
+            assert np.array_equal(rank_s.order, rank_q.order)
             curve_s = cost_efficiency_curve(rank_s, drv_s, d)
             curve_q = cost_efficiency_curve(rank_q, drv_q, d)
             assert np.allclose(curve_s.xs, curve_q.xs, rtol=0, atol=1e-12)

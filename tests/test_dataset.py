@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eameval.dataset import (
-    DataQualityWarning,
-    Dataset,
-    load_dataset,
-    prevalence,
-    save_dataset,
-)
+from eameval.dataset import DataQualityWarning, Dataset, load_dataset, save_dataset
 
 from conftest import build_dataset, find_nasa_file, load_nasa
 
@@ -31,10 +25,10 @@ class TestLoading:
         assert d.schema == ("LOC", "McCC")
         assert d.num_defective == 2
         assert d.num_clean == 1
-        assert prevalence(d) == pytest.approx(2 / 3)
+        assert d.prevalence == pytest.approx(2 / 3)
         assert list(d.measure_vector("LOC")) == [10.0, 20.0, 30.0]
         assert list(d.measure_vector("McCC")) == [5.0, 1.0, 9.0]
-        assert [r.defective for r in d.records] == [True, False, True]
+        assert d.labels.tolist() == [True, False, True]
 
     @pytest.mark.parametrize(
         "token,expected",
@@ -45,7 +39,7 @@ class TestLoading:
     )
     def test_label_spellings(self, tmp_path, token, expected):
         d = load_dataset(write(tmp_path / "t.csv", f"LOC,Defective\n10,{token}\n20,Y\n"))
-        assert d.records[0].defective is expected
+        assert d.labels.tolist()[0] is expected
 
     def test_id_column_detected(self, tmp_path):
         d = load_dataset(write(tmp_path / "t.csv", "id,LOC,Defective\nmod_a,10,Y\nmod_b,20,N\n"))
@@ -202,7 +196,7 @@ class TestRoundTrip:
         back = load_dataset(path)
         assert back.schema == toy.schema
         assert back.ids == toy.ids
-        assert [r.defective for r in back.records] == [r.defective for r in toy.records]
+        assert np.array_equal(back.labels, toy.labels)
         for name in toy.schema:
             assert np.array_equal(back.measure_vector(name), toy.measure_vector(name))
 
@@ -249,13 +243,15 @@ class TestDatasetApi:
             with pytest.raises(ValueError):
                 column[0] = 0
 
-    def test_with_measure_carries_built_columns(self, toy):
-        loc, labels = toy.measure_vector("LOC"), toy.labels
-        d2 = toy.with_measure("density", [0.5, 0.1, 0.2, 0.3, 0.4])
-        assert d2.measure_vector("LOC") is loc
-        assert d2.labels is labels
-        assert d2.measure_vector("density").tolist() == [0.5, 0.1, 0.2, 0.3, 0.4]
-        assert [r.measures["density"] for r in d2.records] == [0.5, 0.1, 0.2, 0.3, 0.4]
+    def test_with_measure_carries_built_columns(self):
+        d = build_dataset({"LOC": [1, 2]}, [True, False], counts=[3, 0])
+        d2 = d.with_measure("density", [0.5, 0.1])
+        assert d2.ids is d.ids
+        assert d2.labels is d.labels
+        assert d2.defect_counts is d.defect_counts
+        assert d2.measure_vector("LOC") is d.measure_vector("LOC")
+        assert d2.measure_vector("density").tolist() == [0.5, 0.1]
+        assert not d2.measure_vector("density").flags.writeable
 
     def test_with_measure_rejects_duplicate_name(self, toy):
         with pytest.raises(ValueError, match="already"):
@@ -270,12 +266,59 @@ class TestDatasetApi:
             toy.with_measure("x", [1, 2, 3, 4, -1])
 
     def test_prevalence_extremes(self):
-        assert prevalence(build_dataset({"m": [1, 2]}, [True, True])) == 1.0
-        assert prevalence(build_dataset({"m": [1, 2]}, [False, False])) == 0.0
+        assert build_dataset({"m": [1, 2]}, [True, True]).prevalence == 1.0
+        assert build_dataset({"m": [1, 2]}, [False, False]).prevalence == 0.0
 
-    def test_records_are_immutable(self, toy):
+    def test_columns_are_immutable(self):
+        d = build_dataset({"LOC": [1, 2]}, [True, False], counts=[3, 0], ids=["a", "b"])
         with pytest.raises(AttributeError):
-            toy.records[0].defective = False
+            d.labels = np.array([False, False])
+        with pytest.raises(TypeError):
+            d.ids[0] = "c"
+        with pytest.raises(TypeError):
+            d.measures["LOC"] = np.zeros(2)
+        for column in (d.labels, d.defect_counts, d.measure_vector("LOC")):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+
+class TestConstructor:
+    def test_built_directly_from_columns(self):
+        d = Dataset(ids=["a", "b"], labels=[True, False], measures={"LOC": [10, 20], "McCC": [2, 1]})
+        assert d.ids == ("a", "b")
+        assert d.schema == ("LOC", "McCC")
+        assert d.labels.dtype == bool and d.num_defective == 1
+        assert d.measure_vector("LOC").tolist() == [10.0, 20.0]
+        assert d.defect_counts is None
+
+    def test_input_arrays_are_copied_not_frozen(self):
+        loc = np.array([10.0, 20.0])
+        d = Dataset(ids=["a", "b"], labels=[True, False], measures={"LOC": loc})
+        assert loc.flags.writeable
+        loc[0] = 99.0
+        assert d.measure_vector("LOC")[0] == 10.0
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="at least one module"):
+            Dataset(ids=[], labels=[], measures={"LOC": []})
+
+    @pytest.mark.parametrize(
+        "labels,measures,counts",
+        [
+            ([True], {"LOC": [1.0, 2.0]}, None),
+            ([True, False], {"LOC": [1.0]}, None),
+            ([True, False], {"LOC": [1.0, 2.0]}, [1]),
+            ([True, False], {"LOC": [[1.0, 2.0]]}, None),
+        ],
+    )
+    def test_column_of_wrong_length_rejected(self, labels, measures, counts):
+        with pytest.raises(ValueError, match="expected 2 values"):
+            Dataset(ids=["a", "b"], labels=labels, measures=measures, defect_counts=counts)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_measure_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"measure 'LOC' of module 'b' must be finite and non-negative"):
+            Dataset(ids=["a", "b"], labels=[True, False], measures={"LOC": [1.0, bad]})
 
 
 class TestNasaFile:

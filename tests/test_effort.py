@@ -9,7 +9,7 @@ from eameval.effort import (
     budget_to_cutoff,
     cumulative_effort_fractions,
     cutoff_from_fractions,
-    module_effort,
+    driver_values,
     parse_driver,
 )
 from eameval.ranking import rank_by_score
@@ -62,31 +62,20 @@ class TestParseDriver:
 
 class TestModuleEffort:
     def test_single_measure(self, toy, loc_driver):
-        assert module_effort(loc_driver, toy.records[0]) == 10.0
-
-    def test_unit_cost_scales(self, toy):
-        drv = EffortDriver(measures=("LOC",), unit_cost=3.0)
-        assert module_effort(drv, toy.records[0]) == 30.0
+        assert driver_values(loc_driver, toy).tolist() == [10.0, 20.0, 30.0, 40.0, 100.0]
 
     def test_composite_blend(self, toy):
         drv = EffortDriver(measures=("LOC", "McCC"), weight=0.5)
         # 0.5 * 10 + 0.5 * 5
-        assert module_effort(drv, toy.records[0]) == 7.5
+        assert driver_values(drv, toy)[0] == 7.5
 
     def test_weight_one_is_first_measure(self, toy):
         drv = EffortDriver(measures=("LOC", "McCC"), weight=1.0)
-        for r in toy.records:
-            assert module_effort(drv, r) == r.measures["LOC"]
+        assert np.array_equal(driver_values(drv, toy), toy.measure_vector("LOC"))
 
     def test_weight_zero_is_second_measure(self, toy):
         drv = EffortDriver(measures=("LOC", "McCC"), weight=0.0)
-        for r in toy.records:
-            assert module_effort(drv, r) == r.measures["McCC"]
-
-    def test_normalized_composite_needs_dataset_context(self, toy):
-        drv = EffortDriver(measures=("LOC", "McCC"), weight=0.5, normalize=True)
-        with pytest.raises(ValueError, match="dataset"):
-            module_effort(drv, toy.records[0])
+        assert np.array_equal(driver_values(drv, toy), toy.measure_vector("McCC"))
 
     def test_driver_validation(self):
         with pytest.raises(ValueError):
@@ -95,14 +84,10 @@ class TestModuleEffort:
             EffortDriver(measures=("A", "B"))  # composite without weight
         with pytest.raises(ValueError):
             EffortDriver(measures=("A",), weight=0.5)
-        with pytest.raises(ValueError):
-            EffortDriver(measures=("A",), unit_cost=0.0)
 
 
 class TestNormalizedComposite:
     def test_minmax_maps_extremes(self, toy):
-        from eameval.effort import driver_values
-
         drv = EffortDriver(measures=("LOC", "McCC"), weight=1.0, normalize=True)
         vals = driver_values(drv, toy)
         # LOC 10..100 maps onto 0..1
@@ -110,8 +95,6 @@ class TestNormalizedComposite:
         assert vals[-1] == 1.0
 
     def test_constant_measure_rejected(self):
-        from eameval.effort import driver_values
-
         d = build_dataset({"A": [5, 5, 5], "B": [1, 2, 3]}, [True, False, True])
         drv = EffortDriver(measures=("A", "B"), weight=0.5, normalize=True)
         with pytest.raises(ValueError, match="constant"):
@@ -130,13 +113,6 @@ class TestCumulativeFractions:
     def test_monotone_nondecreasing(self, toy, loc_driver):
         fr = cumulative_effort_fractions(loc_driver, [2, 0, 4, 1, 3], toy)
         assert np.all(np.diff(fr) >= 0)
-
-    def test_unit_cost_cancels_exactly_on_integer_data(self, toy):
-        base = EffortDriver(measures=("LOC",))
-        scaled = EffortDriver(measures=("LOC",), unit_cost=10.0)
-        a = cumulative_effort_fractions(base, IDENTITY, toy)
-        b = cumulative_effort_fractions(scaled, IDENTITY, toy)
-        assert np.array_equal(a, b)
 
     def test_accepts_ranked_list(self, toy, toy_scores, loc_driver):
         ranking = rank_by_score(toy_scores, toy, driver=loc_driver)

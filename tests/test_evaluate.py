@@ -53,6 +53,17 @@ class TestEvaluateSuite:
         cell = report.cells[0]
         assert cell.popt == 1.0
 
+    def test_nan_score_rejected_under_optimal_policy_alone(self, loc_driver):
+        d = build_dataset({"LOC": [10, 20, 30, 40]}, [True, False, True, False], ids=list("abcd"))
+        with pytest.raises(ValueError, match="NaN score for module 'b'"):
+            evaluate_suite(d, np.array([0.5, np.nan, 0.2, 0.1]), [loc_driver], [0.5],
+                           policies=("optimal",))
+
+    def test_nan_score_rejected_on_single_class_data(self, loc_driver):
+        d = build_dataset({"LOC": [5, 6]}, [True, True])
+        with pytest.raises(ValueError, match="NaN score"):
+            evaluate_suite(d, np.array([0.5, np.nan]), [loc_driver], [0.5], policies=("optimal",))
+
     def test_auc_none_when_single_class(self, loc_driver):
         d = build_dataset({"LOC": [5, 6, 7]}, [True, True, True])
         report = evaluate_suite(
@@ -112,8 +123,14 @@ class TestSharedWork:
             for cell in report.cells:
                 ranking = rank(cell.policy, scores, d, drv, norm="m")
                 curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
-                assert cell.ranking == ranking
-                assert cell.curve == curve
+                assert cell.ranking.policy == ranking.policy
+                assert np.array_equal(cell.ranking.order, ranking.order)
+                assert np.array_equal(cell.ranking.key_values, ranking.key_values)
+                assert (cell.curve.driver, cell.curve.policy, cell.curve.benefit) == (
+                    curve.driver, curve.policy, curve.benefit
+                )
+                assert np.array_equal(cell.curve.xs, curve.xs)
+                assert np.array_equal(cell.curve.ys, curve.ys)
                 assert cell.popt == popt(curve, best, interpolation=interpolation)
                 for b, result in zip(budgets, cell.budgets):
                     cutoff = budget_to_cutoff(drv, ranking, d, b)

@@ -173,6 +173,10 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="defective and clean"):
             roc_auc(np.array([0.5, 0.6]), d)
 
+    def test_nan_score_rejected_with_module_named(self, toy):
+        with pytest.raises(ValueError, match="NaN score for module 'B'"):
+            roc_auc(np.array([0.9, math.nan, 0.6, 0.4, 0.3]), toy)
+
     @settings(max_examples=150, deadline=None)
     @given(
         labels=st.lists(st.booleans(), min_size=2, max_size=20),

@@ -21,7 +21,7 @@ from conftest import build_dataset
 
 
 def ids_in_order(d, ranking):
-    return [d.records[i].id for i in ranking.order]
+    return [d.ids[i] for i in ranking.order]
 
 
 def sorted_reference(keys, tie_values, tie_break):
@@ -34,7 +34,7 @@ def sorted_reference(keys, tie_values, tie_break):
             return ()
         return (tie_values[i],) if tie_break == "asc" else (-tie_values[i],)
 
-    return tuple(sorted(range(len(keys)), key=lambda i: (-keys[i], *tie(i), i)))
+    return sorted(range(len(keys)), key=lambda i: (-keys[i], *tie(i), i))
 
 
 class TestScoreRanking:
@@ -127,12 +127,12 @@ class TestMonotoneTransformInvariance:
         moved = scale * base + shift
         a = rank_by_score(base, d)
         b = rank_by_score(moved, d)
-        assert a.order == b.order
+        assert np.array_equal(a.order, b.order)
 
     def test_exp_transform_preserves_order(self, toy, toy_scores):
         a = rank_by_score(toy_scores, toy)
         b = rank_by_score(np.exp(np.asarray(toy_scores.values)), toy)
-        assert a.order == b.order
+        assert np.array_equal(a.order, b.order)
 
 
 class TestDensityRanking:
@@ -146,7 +146,7 @@ class TestDensityRanking:
         d = toy.with_measure("unit", np.ones(toy.n))
         by_density = rank_by_density(toy_scores, "unit", d)
         by_score = rank_by_score(toy_scores, d)
-        assert by_density.order == by_score.order
+        assert np.array_equal(by_density.order, by_score.order)
 
     def test_zero_measure_modules_go_last_with_warning(self):
         d = build_dataset({"LOC": [0, 10, 20]}, [True, False, True], ids=list("ABC"))
@@ -195,7 +195,7 @@ class TestOptimalRanking:
                 (rng.random(n) < 0.5).tolist(),
             )
             r = optimal_ranking(d, loc_driver)
-            flags = [d.records[i].defective for i in r.order]
+            flags = d.labels[r.order].tolist()
             first_clean = flags.index(False) if False in flags else len(flags)
             assert all(not f for f in flags[first_clean:])
 
@@ -224,20 +224,20 @@ class TestLexsortMatchesSortedReference:
         driver = drv if with_driver else None
 
         r = rank_by_score(scores, d, driver=driver, tie_break=tie_break)
-        assert r.order == sorted_reference(scores, tie_values, tie_break)
-        assert r.key_values == tuple(float(scores[i]) for i in r.order)
+        assert r.order.tolist() == sorted_reference(scores, tie_values, tie_break)
+        assert r.key_values.tolist() == [float(scores[i]) for i in r.order]
 
         zero = np.array(loc) == 0
         density = np.where(zero, -np.inf, scores / np.where(zero, 1.0, loc))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataQualityWarning)
             r = rank_by_density(scores, "LOC", d, driver=driver, tie_break=tie_break)
-        assert r.order == sorted_reference(density, tie_values, tie_break)
-        assert r.key_values == tuple(float(density[i]) for i in r.order)
+        assert r.order.tolist() == sorted_reference(density, tie_values, tie_break)
+        assert r.key_values.tolist() == [float(density[i]) for i in r.order]
 
         r = optimal_ranking(d, drv)
-        assert r.order == tuple(sorted(range(d.n), key=lambda i: (not labels[i], loc[i], i)))
-        assert r.key_values == tuple(float(loc[i]) for i in r.order)
+        assert r.order.tolist() == sorted(range(d.n), key=lambda i: (not labels[i], loc[i], i))
+        assert r.key_values.tolist() == [float(loc[i]) for i in r.order]
 
 
 class TestRankedList:
@@ -251,10 +251,15 @@ class TestRankedList:
         with pytest.raises(ValueError):
             RankedList(order=(0.0, 1.0), policy="score", key_values=(2.0, 1.0))
 
-    def test_arrays_stored_as_python_tuples(self):
-        r = RankedList(order=np.array([1, 0]), policy="score", key_values=np.array([2.0, 1.0]))
-        assert r.order == (1, 0) and type(r.order[0]) is int
-        assert r.key_values == (2.0, 1.0) and type(r.key_values[0]) is float
+    def test_fields_stored_as_read_only_array_copies(self):
+        order, keys = [1, 0], np.array([2.0, 1.0])
+        r = RankedList(order=order, policy="score", key_values=keys)
+        assert r.order.dtype.kind == "i" and r.order.tolist() == [1, 0]
+        assert r.key_values.dtype == float and r.key_values.tolist() == [2.0, 1.0]
+        assert not np.shares_memory(r.key_values, keys)
+        for field in (r.order, r.key_values):
+            with pytest.raises(ValueError):
+                field[0] = 0
 
     def test_key_length_validated(self):
         with pytest.raises(ValueError):
