@@ -9,7 +9,7 @@ metrics at each effort budget.
 __version__ = "0.1.0"
 
 from .curves import CostEfficiencyCurve, cost_efficiency_curve, pofb_at, popt
-from .dataset import DataQualityWarning, Dataset, load_dataset, save_dataset
+from .dataset import DataQualityWarning, Dataset, DuplicateIdError, load_dataset, save_dataset
 from .effort import (
     EffortDriver,
     budget_to_cutoff,

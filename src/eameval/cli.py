@@ -205,7 +205,7 @@ def cmd_evaluate(args) -> int:
     for policy, labeled in by_policy.items():
         render_curves(
             curves_dir / f"{name}_{policy}.svg",
-            [(driver, curve.xs.tolist(), curve.ys.tolist()) for driver, curve in labeled],
+            [(driver, curve.xs, curve.ys) for driver, curve in labeled],
             title=f"{name} ({policy} ranking)",
             y_label=_benefit_label(args.benefit),
         )
@@ -235,7 +235,7 @@ def cmd_compare(args) -> int:
     svg_path = out_dir / f"{name}_compare.svg"
     render_curves(
         svg_path,
-        [(label, curve.xs.tolist(), curve.ys.tolist()) for label, curve in labeled],
+        [(label, curve.xs, curve.ys) for label, curve in labeled],
         title=f"{name}: effort drivers compared ({args.rank} ranking)",
         y_label=_benefit_label(args.benefit),
     )

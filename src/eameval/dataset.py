@@ -10,6 +10,7 @@ still loads.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -22,10 +23,24 @@ import numpy as np
 
 TRUE_SPELLINGS = {"y", "yes", "true", "1"}
 FALSE_SPELLINGS = {"n", "no", "false", "0"}
+_LABEL_CODES = {**dict.fromkeys(TRUE_SPELLINGS, 1), **dict.fromkeys(FALSE_SPELLINGS, 0)}
+
+# Records per block of load_dataset's stream: the raw cells of one block are
+# all it holds of the file at any time.
+_BLOCK_ROWS = 4096
 
 
 class DataQualityWarning(UserWarning):
     """A row was rejected or specially handled while processing a dataset."""
+
+
+class DuplicateIdError(ValueError):
+    """Two modules of a Dataset share an id; first and second are their
+    0-based module positions."""
+
+    def __init__(self, module_id: str, first: int, second: int):
+        super().__init__(f"duplicate module id {module_id!r} at positions {first} and {second}")
+        self.module_id, self.first, self.second = module_id, first, second
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +53,8 @@ class Dataset:
     length. Module order is preserved verbatim from the source file; it is
     the final tie-breaking key for every ranking, so it must never be
     shuffled. The constructor is the one place the columns are checked: at
-    least one module, equal lengths, finite non-negative measures. An array
+    least one module, unique ids (a repeat raises DuplicateIdError), equal
+    lengths, finite non-negative measures. An array
     passed in that is already read-only is shared, not copied, so
     with_measure hands every existing column on to the new dataset.
     """
@@ -53,6 +69,7 @@ class Dataset:
         n = len(ids)
         if n == 0:
             raise ValueError("dataset must contain at least one module")
+        _check_unique(ids)
         measures = {}
         for name, values in self.measures.items():
             column = _read_only(values, float, n, f"measure {name!r}")
@@ -104,6 +121,20 @@ class Dataset:
         return Dataset(self.ids, self.labels, {**self.measures, name: values}, self.defect_counts)
 
 
+def _check_unique(ids: tuple[str, ...]) -> None:
+    # Sorted 64-bit string hashes find the common case, no repeated id, in
+    # a fraction of the memory a set of 100k ids takes; a repeated hash is
+    # then resolved exactly.
+    hashes = np.sort(np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids)))
+    if not np.any(hashes[1:] == hashes[:-1]):
+        return
+    first: dict[str, int] = {}
+    for k, module_id in enumerate(ids):
+        j = first.setdefault(module_id, k)
+        if j != k:
+            raise DuplicateIdError(module_id, j, k)
+
+
 def _read_only(values, dtype, n: int, what: str) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
         column = values
@@ -115,21 +146,37 @@ def _read_only(values, dtype, n: int, what: str) -> np.ndarray:
     return column
 
 
-def _parse_bool(cell: str) -> bool | None:
-    text = cell.strip().lower()
-    if text in TRUE_SPELLINGS:
-        return True
-    if text in FALSE_SPELLINGS:
-        return False
-    return None
-
-
 def _parse_finite(cell: str) -> float | None:
     try:
         value = float(cell)
     except ValueError:
         return None
     return value if math.isfinite(value) else None
+
+
+def _floats(cells) -> np.ndarray:
+    """A column of cells parsed with float() in one call. When a cell is one
+    float() cannot parse, the column is parsed again cell by cell, and its
+    unparseable and non-finite cells read NaN."""
+    try:
+        return np.fromiter(map(float, cells), float, count=len(cells))
+    except ValueError:
+        parsed = map(_parse_finite, cells)
+        return np.fromiter((math.nan if v is None else v for v in parsed), float, count=len(cells))
+
+
+def _label_code(cell: str) -> int:
+    """1 for a true spelling, 0 for a false one, -1 for anything else."""
+    return _LABEL_CODES.get(cell.strip().lower(), -1)
+
+
+def _label_codes(cells) -> np.ndarray:
+    code = {c: _label_code(c) for c in set(cells)}
+    return np.fromiter(map(code.__getitem__, cells), np.int8, count=len(cells))
+
+
+def _blank(row) -> bool:
+    return not any(c.strip() for c in row)
 
 
 def _sidecar_roles(path: Path) -> dict:
@@ -155,11 +202,22 @@ def load_dataset(
     <stem>.schema.json (keys "label", "count", "id", "measures"), then from
     defaults: label column "Defective", a column literally named "id" (case
     insensitive) as the identifier if present, and every remaining column
-    as a numeric measure. Module ids must be unique: a repeated id is an
-    error naming both file rows. Rows with missing, non-numeric, negative, or
-    non-finite measure cells, unparseable labels, or defect counts that
-    contradict the label are rejected one by one; each rejection emits a
-    DataQualityWarning naming the file row (header = row 1).
+    as a numeric measure. Blank records (no cell with text) are skipped.
+    Without an id column, module ids are "1", "2", ... in file order,
+    counting the non-blank data records only.
+
+    A "row" in a message is a CSV record number: the first record of the
+    file is row 1, and blank records are counted. Module ids must be
+    unique: a repeated id is an error naming both rows. Rows with missing,
+    non-numeric, negative, or non-finite measure cells, unparseable labels,
+    or defect counts that contradict the label are rejected one by one; each
+    rejection emits a DataQualityWarning naming the row, in file order, once
+    the whole file has been read. A measure column without a single finite
+    cell is an error, raised before any warning.
+
+    The file is read as a stream: the loader holds the raw cells of one
+    block of rows at a time, parses each measure column of a block in one
+    call, and builds each column once at the end.
     """
     path = Path(path)
     if not path.exists():
@@ -172,142 +230,182 @@ def load_dataset(
     wanted_measures = roles.get("measures")
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if not rows:
-        raise ValueError(f"{path.name}: file is empty")
-    header = [c.strip() for c in rows[0]]
-    data_rows = rows[1:]
-    if not data_rows:
-        raise ValueError(f"{path.name}: no data rows")
+        records = csv.reader(fh)
+        header_row = 0
+        for row in records:
+            header_row += 1
+            if not _blank(row):
+                header = [c.strip() for c in row]
+                break
+        else:
+            raise ValueError(f"{path.name}: file is empty")
+        # The first non-blank data record is read ahead, so that a file
+        # without one is reported as such before any header problem.
+        lead = []
+        for row in records:
+            lead.append(row)
+            if not _blank(row):
+                break
+        else:
+            raise ValueError(f"{path.name}: no data rows")
 
-    if len(set(header)) != len(header):
-        raise ValueError(f"{path.name}: duplicate column names in header")
-    if label_column not in header:
-        raise ValueError(f"{path.name}: label column {label_column!r} not found")
-    for role, name in (("count", count_column), ("id", id_column)):
-        if name is not None and name not in header:
-            raise ValueError(f"{path.name}: {role} column {name!r} not found")
-    if id_column is None:
-        id_column = next((c for c in header if c.lower() == "id"), None)
-    if count_column is None:
-        # the column name save_dataset emits, so saved files round-trip
-        count_column = next((c for c in header if c.lower() == "defect_count"), None)
+        if len(set(header)) != len(header):
+            raise ValueError(f"{path.name}: duplicate column names in header")
+        if label_column not in header:
+            raise ValueError(f"{path.name}: label column {label_column!r} not found")
+        for role, name in (("count", count_column), ("id", id_column)):
+            if name is not None and name not in header:
+                raise ValueError(f"{path.name}: {role} column {name!r} not found")
+        if id_column is None:
+            id_column = next((c for c in header if c.lower() == "id"), None)
+        if count_column is None:
+            # the column name save_dataset emits, so saved files round-trip
+            count_column = next((c for c in header if c.lower() == "defect_count"), None)
 
-    # Columns the sidecar assigns a role stay excluded from the measure set
-    # even when an explicit argument points the role elsewhere.
-    role_columns = {
-        label_column,
-        count_column,
-        id_column,
-        roles.get("label"),
-        roles.get("count"),
-        roles.get("id"),
-    } - {None}
-    if wanted_measures is not None:
-        missing = [m for m in wanted_measures if m not in header]
-        if missing:
-            raise ValueError(f"{path.name}: sidecar measures not in header: {missing}")
-        measure_columns = [c for c in header if c in set(wanted_measures)]
-    else:
-        measure_columns = [c for c in header if c not in role_columns]
+        # Columns the sidecar assigns a role stay excluded from the measure set
+        # even when an explicit argument points the role elsewhere.
+        role_columns = {
+            label_column,
+            count_column,
+            id_column,
+            roles.get("label"),
+            roles.get("count"),
+            roles.get("id"),
+        } - {None}
+        if wanted_measures is not None:
+            missing = [m for m in wanted_measures if m not in header]
+            if missing:
+                raise ValueError(f"{path.name}: sidecar measures not in header: {missing}")
+            measure_columns = [c for c in header if c in set(wanted_measures)]
+        else:
+            measure_columns = [c for c in header if c not in role_columns]
 
-    col_index = {c: i for i, c in enumerate(header)}
-    # A measure column must contain at least one numeric cell; otherwise the
-    # file likely has a text column that needs a sidecar role.
-    for name in measure_columns:
-        i = col_index[name]
-        cells = [row[i] for row in data_rows if len(row) == len(header)]
-        if not any(_parse_finite(c) is not None for c in cells):
-            raise ValueError(f"{path.name}: non-numeric measure column {name!r}")
-
-    rejected_rows = []
-
-    def reject(file_row: int, reason: str) -> None:
-        rejected_rows.append(file_row)
-        warnings.warn(
-            f"{path.name}: row {file_row}: {reason}; row rejected",
-            DataQualityWarning,
-            stacklevel=3,
+        col_index = {c: i for i, c in enumerate(header)}
+        table = _Table(
+            width=len(header),
+            label_at=col_index[label_column],
+            count_at=col_index.get(count_column),
+            id_at=col_index.get(id_column),
+            measures=[(name, col_index[name]) for name in measure_columns],
         )
+        first = header_row + 1  # row number of a block's first record
+        rows = itertools.chain(lead, records)
+        for block in iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), []):
+            table.add(block, first)
+            first += len(block)
 
-    ids, labels, counts = [], [], []
-    columns = [[] for _ in measure_columns]
-    for ordinal, row in enumerate(data_rows, start=1):
-        file_row = ordinal + 1  # header occupies row 1
-        if len(row) != len(header):
-            reject(file_row, f"expected {len(header)} fields, got {len(row)}")
-            continue
-
-        defective = _parse_bool(row[col_index[label_column]])
-        if defective is None:
-            reject(file_row, f"unparseable label {row[col_index[label_column]]!r}")
-            continue
-
-        values = []
-        bad_cell = None
-        for name in measure_columns:
-            value = _parse_finite(row[col_index[name]])
-            if value is None:
-                bad_cell = f"measure {name!r} value {row[col_index[name]]!r} is not a finite number"
-                break
-            if value < 0:
-                bad_cell = f"measure {name!r} is negative"
-                break
-            values.append(value)
-        if bad_cell:
-            reject(file_row, bad_cell)
-            continue
-
-        if count_column is not None:
-            raw = _parse_finite(row[col_index[count_column]])
-            if raw is None or raw < 0 or abs(raw - round(raw)) > 1e-9:
-                reject(file_row, f"defect count {row[col_index[count_column]]!r} is not a non-negative integer")
-                continue
-            defect_count = int(round(raw))
-            if (defect_count > 0) != defective:
-                reject(file_row, f"defect count {defect_count} contradicts label")
-                continue
-            counts.append(defect_count)
-
-        ids.append(row[col_index[id_column]].strip() if id_column else str(ordinal))
-        labels.append(defective)
-        for column, value in zip(columns, values):
-            column.append(value)
-
-    if not ids:
+    # A measure column must contain at least one finite cell (in a row of the
+    # right length); otherwise the file likely has a text column that needs a
+    # sidecar role.
+    for name, seen in zip(measure_columns, table.seen_finite):
+        if not seen:
+            raise ValueError(f"{path.name}: non-numeric measure column {name!r}")
+    for row_number, reason in table.rejections:
+        warnings.warn(
+            f"{path.name}: row {row_number}: {reason}; row rejected",
+            DataQualityWarning,
+            stacklevel=2,
+        )
+    kept_rows = np.concatenate(table.rows or [np.zeros(0, dtype=int)])
+    if not kept_rows.size:
         raise ValueError(f"{path.name}: empty dataset after filtering")
-    del rows, data_rows  # free the raw cells before the id check
-    _check_unique_ids(path.name, ids, rejected_rows)
-    return Dataset(
-        ids=ids,
-        labels=labels,
-        measures=dict(zip(measure_columns, columns)),
-        defect_counts=counts if count_column is not None else None,
-    )
+    if table.id_at is None:
+        ordinals = kept_rows - header_row - np.searchsorted(table.blank_rows, kept_rows)
+        ids = list(map(str, ordinals.tolist()))
+    else:
+        ids = table.ids
+    try:
+        return Dataset(
+            ids=ids,
+            labels=_column(table.labels),
+            measures={name: _column(parts) for name, parts in zip(measure_columns, table.columns)},
+            defect_counts=None if table.count_at is None else _column(table.counts),
+        )
+    except DuplicateIdError as err:
+        a, b = kept_rows[err.first], kept_rows[err.second]
+        raise ValueError(
+            f"{path.name}: duplicate module id {err.module_id!r} in rows {a} and {b}"
+        ) from None
 
 
-def _check_unique_ids(filename: str, ids, rejected_rows) -> None:
-    # Sorted 64-bit string hashes find the common case, no repeated id, in
-    # a fraction of the memory a set of 100k ids takes; a repeated hash is
-    # then resolved exactly.
-    hashes = np.sort(np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids)))
-    if not np.any(hashes[1:] == hashes[:-1]):
-        return
-    first: dict[str, int] = {}
-    for k, module_id in enumerate(ids):
-        j = first.setdefault(module_id, k)
-        if j != k:
-            a, b = (_file_row(i, rejected_rows) for i in (j, k))
-            raise ValueError(f"{filename}: duplicate module id {module_id!r} in rows {a} and {b}")
+class _Table:
+    """The columns of a CSV table, accumulated block by block.
+
+    width is the header's length; label_at, count_at and id_at are the
+    positions of the role columns (count_at and id_at may be None), and
+    measures holds a (name, position) pair per measure column. Each block's
+    accepted rows extend rows (their row numbers), ids, labels, counts and
+    one part list per measure column; its rejected rows go to rejections as
+    (row number, reason), or to blank_rows when they hold no text.
+    """
+
+    def __init__(self, width: int, label_at: int, count_at, id_at, measures) -> None:
+        self.width, self.label_at, self.count_at, self.id_at = width, label_at, count_at, id_at
+        self.measures = measures
+        self.seen_finite = [False] * len(measures)
+        self.rows, self.ids, self.labels, self.counts = [], [], [], []
+        self.columns = [[] for _ in measures]
+        self.rejections, self.blank_rows = [], []
+
+    def add(self, block: list, first: int) -> None:
+        """Parse one block of records; first is the row number of block[0]."""
+        full_width = [len(row) == self.width for row in block]
+        full = block if all(full_width) else list(itertools.compress(block, full_width))
+        accepted = np.zeros(len(block), dtype=bool)
+        if full:
+            cells = list(zip(*full))
+            labels = _label_codes(cells[self.label_at])
+            good = labels >= 0
+            values = []
+            for j, (_, i) in enumerate(self.measures):
+                column = _floats(cells[i])
+                finite = np.isfinite(column)
+                self.seen_finite[j] = self.seen_finite[j] or bool(finite.any())
+                good &= finite & (column >= 0)
+                values.append(column)
+            if self.count_at is not None:
+                raw = _floats(cells[self.count_at])
+                counts = np.round(raw) + 0.0  # + 0.0 turns -0.0 into 0.0, as int() does
+                with np.errstate(invalid="ignore"):
+                    good &= np.isfinite(raw) & (raw >= 0) & (np.abs(raw - counts) <= 1e-9)
+                good &= (counts > 0) == (labels == 1)
+                self.counts.append(counts[good])
+            accepted[np.flatnonzero(full_width)] = good
+            self.rows.append(first + np.flatnonzero(accepted))
+            if self.id_at is not None:
+                self.ids.extend(map(str.strip, itertools.compress(cells[self.id_at], good.tolist())))
+            self.labels.append(labels[good] == 1)
+            for parts, column in zip(self.columns, values):
+                parts.append(column[good])
+        for k in np.flatnonzero(~accepted).tolist():
+            if _blank(block[k]):
+                self.blank_rows.append(first + k)
+            else:
+                self.rejections.append((first + k, self.problem(block[k])))
+
+    def problem(self, row: list) -> str:
+        """Why a row is rejected: the first failed check, in the order field
+        count, label, each measure in column order, defect count."""
+        if len(row) != self.width:
+            return f"expected {self.width} fields, got {len(row)}"
+        if _label_code(row[self.label_at]) < 0:
+            return f"unparseable label {row[self.label_at]!r}"
+        for name, i in self.measures:
+            value = _parse_finite(row[i])
+            if value is None:
+                return f"measure {name!r} value {row[i]!r} is not a finite number"
+            if value < 0:
+                return f"measure {name!r} is negative"
+        raw = _parse_finite(row[self.count_at])
+        if raw is None or raw < 0 or abs(raw - round(raw)) > 1e-9:
+            return f"defect count {row[self.count_at]!r} is not a non-negative integer"
+        return f"defect count {int(round(raw))} contradicts label"
 
 
-def _file_row(k: int, rejected_rows) -> int:
-    """File row of the k-th accepted data row, given the rejected rows in file order."""
-    row = k + 2  # header occupies row 1
-    for rejected in rejected_rows:
-        if rejected <= row:
-            row += 1
-    return row
+def _column(parts) -> np.ndarray:
+    column = np.concatenate(parts)
+    column.flags.writeable = False  # so the Dataset shares it rather than copying
+    return column
 
 
 def save_dataset(d: Dataset, path) -> None:

@@ -8,11 +8,16 @@ deterministic text.
 
 from __future__ import annotations
 
+from itertools import groupby
 from pathlib import Path
+
+import numpy as np
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_LEFT, MARGIN_RIGHT = 62, 18
 MARGIN_TOP, MARGIN_BOTTOM = 42, 52
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 TICKS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -27,9 +32,20 @@ def _px(x: float) -> str:
 
 
 def _to_canvas(x: float, y: float) -> tuple[float, float]:
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    return (MARGIN_LEFT + x * plot_w, HEIGHT - MARGIN_BOTTOM - y * plot_h)
+    return (MARGIN_LEFT + x * PLOT_W, HEIGHT - MARGIN_BOTTOM - y * PLOT_H)
+
+
+def _polyline_points(xs, ys) -> list[str]:
+    """Canvas "x,y" pairs of a curve at the rendered 2-decimal precision.
+
+    The arithmetic is _to_canvas's, on whole arrays. A point whose pair
+    repeats the one before it is dropped: it draws nothing, so the line is
+    unchanged, and a long curve's plot shrinks to the points that show.
+    """
+    px = MARGIN_LEFT + np.asarray(xs, dtype=float) * PLOT_W
+    py = (HEIGHT - MARGIN_BOTTOM) - np.asarray(ys, dtype=float) * PLOT_H
+    pairs = map("{:.2f},{:.2f}".format, px.tolist(), py.tolist())
+    return [pair for pair, _ in groupby(pairs)]
 
 
 def render_curves(
@@ -41,9 +57,9 @@ def render_curves(
 ) -> None:
     """Write an SVG overlaying unit-square curves.
 
-    series is a list of (label, xs, ys) triples, xs and ys lists of Python
-    floats (a curve's xs.tolist()); colors cycle through a fixed palette. The dashed gray diagonal (random module selection) is
-    always drawn.
+    series is a list of (label, xs, ys) triples, xs and ys float sequences
+    or arrays; colors cycle through a fixed palette. The dashed gray
+    diagonal (random module selection) is always drawn.
     """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -93,9 +109,7 @@ def render_curves(
 
     for k, (label, xs, ys) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        coords = " ".join(
-            f"{_px(px)},{_px(py)}" for px, py in (_to_canvas(x, y) for x, y in zip(xs, ys))
-        )
+        coords = " ".join(_polyline_points(xs, ys))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
         )

@@ -1,11 +1,24 @@
+import csv
 import json
+import math
+import tracemalloc
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eameval.dataset import DataQualityWarning, Dataset, load_dataset, save_dataset
+from eameval import dataset as dataset_module
+from eameval.dataset import (
+    DataQualityWarning,
+    Dataset,
+    DuplicateIdError,
+    load_dataset,
+    save_dataset,
+)
 
 from conftest import build_dataset, find_nasa_file, load_nasa
 
@@ -13,6 +26,137 @@ from conftest import build_dataset, find_nasa_file, load_nasa
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def row_reference(path, label_column=None, count_column=None, id_column=None) -> Dataset:
+    """The row-by-row loader load_dataset is defined by: the whole file read
+    into memory, then every cell parsed with its own Python call, row after
+    row. Rows are numbered by CSV record, blank records included. The
+    streamed, column-wise load_dataset must reproduce its ids, columns,
+    warnings and errors exactly."""
+
+    def parse_bool(cell):
+        text = cell.strip().lower()
+        if text in dataset_module.TRUE_SPELLINGS:
+            return True
+        if text in dataset_module.FALSE_SPELLINGS:
+            return False
+        return None
+
+    def parse_finite(cell):
+        try:
+            value = float(cell)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"dataset file not found: {path}")
+    roles = dataset_module._sidecar_roles(path)
+    label_column = label_column or roles.get("label") or "Defective"
+    count_column = count_column or roles.get("count")
+    id_column = id_column or roles.get("id")
+    wanted_measures = roles.get("measures")
+
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        rows = [
+            (number, row)
+            for number, row in enumerate(csv.reader(fh), start=1)
+            if row and any(c.strip() for c in row)
+        ]
+    if not rows:
+        raise ValueError(f"{path.name}: file is empty")
+    header = [c.strip() for c in rows[0][1]]
+    data_rows = rows[1:]
+    if not data_rows:
+        raise ValueError(f"{path.name}: no data rows")
+
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path.name}: duplicate column names in header")
+    if label_column not in header:
+        raise ValueError(f"{path.name}: label column {label_column!r} not found")
+    for role, name in (("count", count_column), ("id", id_column)):
+        if name is not None and name not in header:
+            raise ValueError(f"{path.name}: {role} column {name!r} not found")
+    if id_column is None:
+        id_column = next((c for c in header if c.lower() == "id"), None)
+    if count_column is None:
+        count_column = next((c for c in header if c.lower() == "defect_count"), None)
+    role_columns = {
+        label_column, count_column, id_column, roles.get("label"), roles.get("count"), roles.get("id"),
+    } - {None}
+    if wanted_measures is not None:
+        missing = [m for m in wanted_measures if m not in header]
+        if missing:
+            raise ValueError(f"{path.name}: sidecar measures not in header: {missing}")
+        measure_columns = [c for c in header if c in set(wanted_measures)]
+    else:
+        measure_columns = [c for c in header if c not in role_columns]
+
+    col_index = {c: i for i, c in enumerate(header)}
+    for name in measure_columns:
+        i = col_index[name]
+        cells = [row[i] for _, row in data_rows if len(row) == len(header)]
+        if not any(parse_finite(c) is not None for c in cells):
+            raise ValueError(f"{path.name}: non-numeric measure column {name!r}")
+
+    def reject(file_row, reason):
+        warnings.warn(f"{path.name}: row {file_row}: {reason}; row rejected", DataQualityWarning)
+
+    ids, file_rows, labels, counts = [], [], [], []
+    columns = [[] for _ in measure_columns]
+    for ordinal, (file_row, row) in enumerate(data_rows, start=1):
+        if len(row) != len(header):
+            reject(file_row, f"expected {len(header)} fields, got {len(row)}")
+            continue
+        defective = parse_bool(row[col_index[label_column]])
+        if defective is None:
+            reject(file_row, f"unparseable label {row[col_index[label_column]]!r}")
+            continue
+        values = []
+        bad_cell = None
+        for name in measure_columns:
+            value = parse_finite(row[col_index[name]])
+            if value is None:
+                bad_cell = f"measure {name!r} value {row[col_index[name]]!r} is not a finite number"
+                break
+            if value < 0:
+                bad_cell = f"measure {name!r} is negative"
+                break
+            values.append(value)
+        if bad_cell:
+            reject(file_row, bad_cell)
+            continue
+        if count_column is not None:
+            raw = parse_finite(row[col_index[count_column]])
+            if raw is None or raw < 0 or abs(raw - round(raw)) > 1e-9:
+                reject(file_row, f"defect count {row[col_index[count_column]]!r} is not a non-negative integer")
+                continue
+            defect_count = int(round(raw))
+            if (defect_count > 0) != defective:
+                reject(file_row, f"defect count {defect_count} contradicts label")
+                continue
+            counts.append(defect_count)
+        ids.append(row[col_index[id_column]].strip() if id_column else str(ordinal))
+        file_rows.append(file_row)
+        labels.append(defective)
+        for column, value in zip(columns, values):
+            column.append(value)
+
+    if not ids:
+        raise ValueError(f"{path.name}: empty dataset after filtering")
+    first_row = {}
+    for module_id, file_row in zip(ids, file_rows):
+        a = first_row.setdefault(module_id, file_row)
+        if a != file_row:
+            raise ValueError(f"{path.name}: duplicate module id {module_id!r} in rows {a} and {file_row}")
+    return Dataset(
+        ids=ids,
+        labels=labels,
+        measures=dict(zip(measure_columns, columns)),
+        defect_counts=counts if count_column is not None else None,
+    )
 
 
 BASIC = "id,LOC,McCC,Defective\na,10,5,Y\nb,20,1,N\nc,30,9,Y\n"
@@ -340,3 +484,149 @@ class TestNasaFile:
         raw_defective = sum(1 for v in raw if v in ("y", "yes", "true", "1"))
         assert d.num_defective == raw_defective
         assert d.n == len(raw)
+
+
+class TestRowNumbers:
+    """A row is a CSV record number, blank records included."""
+
+    def test_rejection_counts_blank_records(self, tmp_path):
+        path = write(tmp_path / "t.csv", "id,LOC,Defective\na,1,Y\n\nb,x,N\nc,3,N\n")
+        with pytest.warns(DataQualityWarning, match=r"t\.csv: row 4: measure 'LOC' value 'x'"):
+            d = load_dataset(path)
+        assert d.ids == ("a", "c")
+
+    def test_duplicate_id_counts_blank_records(self, tmp_path):
+        path = write(tmp_path / "t.csv", "id,LOC,Defective\na,1,Y\n\nb,2,N\na,3,N\n")
+        with pytest.raises(ValueError, match=r"duplicate module id 'a' in rows 2 and 5"):
+            load_dataset(path)
+
+    def test_default_ids_count_non_blank_records_only(self, tmp_path):
+        path = write(tmp_path / "t.csv", "\nLOC,Defective\n1,Y\n \n2,N\n,\n3,N\n")
+        assert load_dataset(path).ids == ("1", "2", "3")
+
+
+class TestUniqueIds:
+    def test_constructor_rejects_repeated_id(self):
+        with pytest.raises(DuplicateIdError, match=r"duplicate module id 'a' at positions 0 and 2") as err:
+            Dataset(ids=["a", "b", "a"], labels=[True, False, False], measures={"LOC": [1, 2, 3]})
+        assert (err.value.module_id, err.value.first, err.value.second) == ("a", 0, 2)
+
+    def test_score_import_by_id_never_sees_a_repeated_id(self, tmp_path):
+        from eameval.model import import_scores
+
+        scores = write(tmp_path / "s.csv", "a,0.9\nb,0.1\n")
+        with pytest.raises(ValueError, match="duplicate module id 'a'"):
+            d = Dataset(ids=["a", "b", "a"], labels=[True, False, False], measures={"LOC": [1, 2, 3]})
+            import_scores(scores, d, match="id")
+
+    def test_first_repeat_in_module_order_is_named(self):
+        with pytest.raises(DuplicateIdError, match=r"'b' at positions 1 and 3"):
+            Dataset(ids=["a", "b", "c", "b", "a"], labels=[False] * 5, measures={"LOC": [1] * 5})
+
+
+# Cells that pass their column's check, then cells that fail it.
+GOOD_CELLS = {
+    "m": ["1", "0", "-0", "2.5", " 3 ", "1e3", "1_0", "7.25", '"4"'],
+    "label": ["Y", "n", " yes ", "TRUE", "0", "1", '"N"'],
+    "count": ["0", "1", "3", "2.0", "1e0", "-0", "0.9999999999"],
+    "id": [None, None, None, "a", " a", "b"],  # None: a fresh id
+}
+BAD_CELLS = {
+    "m": ["nan", "inf", "-inf", "-5", "abc", "", "  ", '"1,5"'],
+    "label": ["maybe", "", '"yes, no"'],
+    "count": ["1.5", "-1", "x", "", "nan"],
+    "id": [],
+}
+BLANK_LINES = ["", "   ", " , ", ",,", '""']
+
+
+@st.composite
+def csv_files(draw):
+    """A random CSV dataset (text, sidecar roles, load_dataset kwargs)."""
+    with_id = draw(st.booleans())
+    measures = [f"M{j}" for j in range(draw(st.integers(1, 3)))]
+    label = draw(st.sampled_from(["Defective", "status"]))
+    count = draw(st.sampled_from([None, "bugs", "defect_count", "n_bugs"]))
+    roles, kwargs = {}, {}
+    if label == "status":
+        roles["label"] = "status"
+    if count == "bugs":
+        kwargs["count_column"] = "bugs"
+    elif count == "n_bugs":
+        roles["count"] = "n_bugs"
+    if len(measures) > 1 and draw(st.booleans()):
+        roles["measures"] = measures[1:]
+    kinds = (["id"] if with_id else []) + ["m"] * len(measures) + ["label"] + (["count"] if count else [])
+    header = (["id"] if with_id else []) + measures + [label] + ([count] if count else [])
+
+    lines = [draw(st.sampled_from(BLANK_LINES)) for _ in range(draw(st.integers(0, 2)))]
+    lines.append(",".join(header))
+    for k in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+            continue
+        cells = GOOD_CELLS if draw(st.booleans()) else {k: GOOD_CELLS[k] + BAD_CELLS[k] for k in GOOD_CELLS}
+        row = [draw(st.sampled_from(cells[kind])) for kind in kinds]
+        row = [f"m{k}" if cell is None else cell for cell in row]
+        width = draw(st.sampled_from(["ok"] * 6 + ["short", "long"]))
+        if width == "short":
+            row = row[:-1]
+        elif width == "long":
+            row.append("1")
+        lines.append(",".join(row))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return text, roles, kwargs
+
+
+def load_outcome(loader, path, **kwargs):
+    """Everything a load shows: the columns (bitwise) or the error, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            d = loader(path, **kwargs)
+        except ValueError as err:
+            result = ("error", str(err))
+        else:
+            result = (
+                d.ids,
+                d.labels.tolist(),
+                {name: column.tobytes() for name, column in d.measures.items()},
+                None if d.defect_counts is None else d.defect_counts.tobytes(),
+            )
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestAgainstRowReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_files())
+    def test_streamed_load_matches_row_reference(self, tmp_path_factory, case):
+        text, roles, kwargs = case
+        directory = tmp_path_factory.mktemp("ref")
+        path = write(directory / "d.csv", text)
+        if roles:
+            (directory / "d.schema.json").write_text(json.dumps(roles))
+        expected = load_outcome(row_reference, path, **kwargs)
+        # Blocks of 3 records put block boundaries inside runs of rejected rows.
+        with mock.patch.object(dataset_module, "_BLOCK_ROWS", 3):
+            assert load_outcome(load_dataset, path, **kwargs) == expected
+
+    def test_peak_memory_is_at_most_half_the_row_reference(self, tmp_path):
+        rng = np.random.default_rng(0)
+        values = np.round(rng.lognormal(3.0, 1.0, (20_000, 20)), 2).tolist()
+        path = tmp_path / "wide.csv"
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(",".join(["id", *(f"X{j}" for j in range(20)), "Defective"]) + "\n")
+            fh.writelines(
+                f"m{i},{','.join(map(str, row))},{'Y' if i % 5 == 0 else 'N'}\n"
+                for i, row in enumerate(values)
+            )
+
+        def peak(loader):
+            tracemalloc.start()
+            try:
+                loader(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(load_dataset) <= 0.5 * peak(row_reference)
