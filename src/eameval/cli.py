@@ -11,26 +11,27 @@ Exit codes: 0 success, 1 computation error, 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
-import csv
 import re
 import sys
 from pathlib import Path
 
 from . import __version__
+from .curves import BENEFIT_MODES, INTERPOLATIONS, cost_efficiency_curve
 from .dataset import load_dataset
-from .effort import parse_driver
+from .effort import check_budget, parse_driver
 from .evaluate import evaluate_suite
 from .model import (
     SCORE_KINDS,
+    SCORE_MATCHES,
     derive_predictor,
     fit_blr,
     import_scores,
     predict_proba,
 )
-from .ranking import rank
-from .curves import cost_efficiency_curve
+from .ranking import POLICIES, TIE_BREAKS, rank
 from .report import (
     report_dict,
+    write_compare_csv,
     write_curve_csv,
     write_report_json,
     write_tables_csv,
@@ -56,21 +57,21 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
                         help="precomputed scores instead of fitting a model")
     parser.add_argument("--score-kind", choices=SCORE_KINDS, default="probability",
                         help="interpretation of imported scores")
-    parser.add_argument("--score-match", choices=("id", "order"), default="id",
+    parser.add_argument("--score-match", choices=SCORE_MATCHES, default="id",
                         help="match imported scores by module id or by file order")
-    parser.add_argument("--rank", choices=("score", "density", "optimal"), default="score",
+    parser.add_argument("--rank", choices=POLICIES, default="score",
                         help="ranking policy")
     parser.add_argument("--norm", default="LOC", metavar="MEASURE",
                         help="normalizing measure for density ranking")
     parser.add_argument("--effort", action="append", default=None, metavar="DRIVER",
                         help="effort driver: a measure name or "
                              "'composite:A,B,<weight>[,minmax]'; repeatable")
-    parser.add_argument("--tie-break", choices=("asc", "desc", "input"), default="asc",
+    parser.add_argument("--tie-break", choices=TIE_BREAKS, default="asc",
                         help="order among equal-score modules: ascending driver value, "
                              "descending, or dataset order")
-    parser.add_argument("--benefit", choices=("modules", "defects"), default="modules",
+    parser.add_argument("--benefit", choices=BENEFIT_MODES, default="modules",
                         help="count defective modules found, or defects (needs --count-col)")
-    parser.add_argument("--popt-interp", choices=("linear", "step"), default="linear",
+    parser.add_argument("--popt-interp", choices=INTERPOLATIONS, default="linear",
                         help="curve interpolation used for Popt areas")
     parser.add_argument("--out-dir", default="eameval-out", help="output directory")
 
@@ -105,21 +106,36 @@ def _parse_budgets(text: str) -> list[float]:
             value = float(chunk)
         except ValueError:
             raise UsageError(f"bad budget {chunk!r}") from None
-        if not 0.0 <= value <= 1.0:
-            raise UsageError(f"budget {chunk} is outside [0, 1]")
-        budgets.append(value)
+        try:
+            budgets.append(check_budget(value))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     return budgets
 
 
+def _parse_drivers(args) -> list:
+    """The --effort drivers, each parsed, none repeated."""
+    drivers = []
+    for text in args.effort or ["LOC"]:
+        try:
+            drv = parse_driver(text)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if any(drv.name == seen.name for seen in drivers):
+            raise UsageError(f"effort driver {drv.name!r} given twice")
+        drivers.append(drv)
+    return drivers
+
+
 def _prepare(args):
-    """Load the dataset, produce scores, and parse drivers."""
+    """Load the dataset and produce scores, once every flag has been checked."""
     if (args.predictors is None) == (args.scores is None):
         raise UsageError("exactly one of --predictors or --scores is required")
+    names = [p.strip() for p in (args.predictors or "").split(",") if p.strip()]
+    if args.predictors is not None and not names:
+        raise UsageError("--predictors is empty")
     d = load_dataset(args.data, label_column=args.label_col, count_column=args.count_col)
     if args.predictors is not None:
-        names = [p.strip() for p in args.predictors.split(",") if p.strip()]
-        if not names:
-            raise UsageError("--predictors is empty")
         for name in names:
             if "/" in name:
                 d = derive_predictor(d, name)
@@ -137,8 +153,7 @@ def _prepare(args):
     else:
         scores = import_scores(args.scores, d, kind=args.score_kind, match=args.score_match)
         model = {"kind": "imported", "path": args.scores, "score_kind": args.score_kind}
-    drivers = [parse_driver(text) for text in (args.effort or ["LOC"])]
-    return d, scores, model, drivers
+    return d, scores, model
 
 
 def _echo_flags(args, command: str) -> dict:
@@ -170,8 +185,9 @@ def _benefit_label(benefit: str) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    d, scores, model, drivers = _prepare(args)
+    drivers = _parse_drivers(args)
     budgets = _parse_budgets(args.budgets)
+    d, scores, model = _prepare(args)
     name = Path(args.data).stem
     result = evaluate_suite(
         d,
@@ -191,24 +207,21 @@ def cmd_evaluate(args) -> int:
     curves_dir = out_dir / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
 
+    svg_name = f"{name}_{args.rank}.svg"
     curve_files = {}
-    by_policy: dict[str, list] = {}
     for cell in result.cells:
         csv_name = f"{name}_{cell.policy}_{_slug(cell.driver)}.csv"
         write_curve_csv(curves_dir / csv_name, cell.curve)
-        svg_name = f"{name}_{cell.policy}.svg"
         curve_files[(cell.policy, cell.driver)] = {
             "csv": f"curves/{csv_name}",
             "svg": f"curves/{svg_name}",
         }
-        by_policy.setdefault(cell.policy, []).append((cell.driver, cell.curve))
-    for policy, labeled in by_policy.items():
-        render_curves(
-            curves_dir / f"{name}_{policy}.svg",
-            [(driver, curve.xs, curve.ys) for driver, curve in labeled],
-            title=f"{name} ({policy} ranking)",
-            y_label=_benefit_label(args.benefit),
-        )
+    render_curves(
+        curves_dir / svg_name,
+        [(cell.driver, cell.curve.xs, cell.curve.ys) for cell in result.cells],
+        title=f"{name} ({args.rank} ranking)",
+        y_label=_benefit_label(args.benefit),
+    )
 
     payload = report_dict(result, curve_files, flags=_echo_flags(args, "evaluate"))
     write_report_json(out_dir / "report.json", payload)
@@ -220,32 +233,28 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    d, scores, model, drivers = _prepare(args)
+    drivers = _parse_drivers(args)
     if len(drivers) < 2:
         raise UsageError("need >=2 drivers: repeat --effort")
+    d, scores, model = _prepare(args)
     name = Path(args.data).stem
 
-    labeled = []
+    curves = []
     for drv in drivers:
         ranking = rank(args.rank, scores, d, drv, norm=args.norm, tie_break=args.tie_break)
-        labeled.append((drv.name, cost_efficiency_curve(ranking, drv, d, benefit=args.benefit)))
+        curves.append(cost_efficiency_curve(ranking, drv, d, benefit=args.benefit))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     svg_path = out_dir / f"{name}_compare.svg"
     render_curves(
         svg_path,
-        [(label, curve.xs, curve.ys) for label, curve in labeled],
+        [(curve.driver, curve.xs, curve.ys) for curve in curves],
         title=f"{name}: effort drivers compared ({args.rank} ranking)",
         y_label=_benefit_label(args.benefit),
     )
     csv_path = out_dir / f"{name}_compare.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["driver", "policy", "effort_fraction", "benefit"])
-        for label, curve in labeled:
-            for x, y in curve.points:
-                writer.writerow([label, curve.policy, repr(x), repr(y)])
+    write_compare_csv(csv_path, curves)
     print(f"wrote {svg_path}")
     print(f"wrote {csv_path}")
     return 0
@@ -276,13 +285,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .effort import BUDGET_TOL, EffortDriver, cumulative_effort_fractions
+from .effort import EffortDriver, cumulative_effort_fractions, cutoff_from_fractions
 from .ranking import RankedList
 
 BENEFIT_MODES = ("modules", "defects")
@@ -110,10 +110,7 @@ def pofb_at(curve: CostEfficiencyCurve, budget: float) -> float:
     is the y of the largest curve point whose x does not exceed the budget
     (within the usual 1e-12 tolerance).
     """
-    if not 0.0 <= budget <= 1.0:
-        raise ValueError(f"budget must be in [0, 1], got {budget}")
-    k = int(np.searchsorted(curve.xs, budget + BUDGET_TOL, side="right")) - 1
-    return float(curve.ys[k])
+    return float(curve.ys[cutoff_from_fractions(curve.xs[1:], budget)])
 
 
 def _polyline_area(curve: CostEfficiencyCurve, interpolation: str) -> float:

@@ -9,6 +9,7 @@ still loads.
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import json
@@ -55,8 +56,9 @@ class Dataset:
     shuffled. The constructor is the one place the columns are checked: at
     least one module, unique ids (a repeat raises DuplicateIdError), equal
     lengths, finite non-negative measures. An array
-    passed in that is already read-only is shared, not copied, so
-    with_measure hands every existing column on to the new dataset.
+    passed in that is already read-only is shared, not copied; with_measure
+    hands every existing column on to the new dataset and checks only the
+    one it adds.
     """
 
     ids: tuple[str, ...]
@@ -70,15 +72,7 @@ class Dataset:
         if n == 0:
             raise ValueError("dataset must contain at least one module")
         _check_unique(ids)
-        measures = {}
-        for name, values in self.measures.items():
-            column = _read_only(values, float, n, f"measure {name!r}")
-            bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0)))
-            if bad.size:
-                raise ValueError(
-                    f"measure {name!r} of module {ids[bad[0]]!r} must be finite and non-negative"
-                )
-            measures[name] = column
+        measures = {name: _measure_column(name, values, ids) for name, values in self.measures.items()}
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "labels", _read_only(self.labels, bool, n, "labels"))
         object.__setattr__(self, "measures", MappingProxyType(measures))
@@ -115,10 +109,17 @@ class Dataset:
         return self.measures[name]
 
     def with_measure(self, name: str, values) -> "Dataset":
-        """A new Dataset with an extra measure column appended."""
+        """A new Dataset with an extra measure column appended.
+
+        Only the new column is checked: the new dataset shares every other
+        field with this one, which its constructor checked.
+        """
         if name in self.measures:
             raise ValueError(f"measure {name!r} already present")
-        return Dataset(self.ids, self.labels, {**self.measures, name: values}, self.defect_counts)
+        extended = copy.copy(self)
+        measures = {**self.measures, name: _measure_column(name, values, self.ids)}
+        object.__setattr__(extended, "measures", MappingProxyType(measures))
+        return extended
 
 
 def _check_unique(ids: tuple[str, ...]) -> None:
@@ -133,6 +134,15 @@ def _check_unique(ids: tuple[str, ...]) -> None:
         j = first.setdefault(module_id, k)
         if j != k:
             raise DuplicateIdError(module_id, j, k)
+
+
+def _measure_column(name: str, values, ids: tuple[str, ...]) -> np.ndarray:
+    """One measure's read-only column, checked finite and non-negative."""
+    column = _read_only(values, float, len(ids), f"measure {name!r}")
+    bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0)))
+    if bad.size:
+        raise ValueError(f"measure {name!r} of module {ids[bad[0]]!r} must be finite and non-negative")
+    return column
 
 
 def _read_only(values, dtype, n: int, what: str) -> np.ndarray:
@@ -194,15 +204,15 @@ def load_dataset(
     path,
     label_column: str | None = None,
     count_column: str | None = None,
-    id_column: str | None = None,
 ) -> Dataset:
     """Load a defect dataset from a CSV file.
 
-    Column roles come from the arguments, then from a JSON sidecar named
-    <stem>.schema.json (keys "label", "count", "id", "measures"), then from
-    defaults: label column "Defective", a column literally named "id" (case
-    insensitive) as the identifier if present, and every remaining column
-    as a numeric measure. Blank records (no cell with text) are skipped.
+    Column roles come from the arguments (label and count), then from a
+    JSON sidecar named <stem>.schema.json (keys "label", "count", "id",
+    "measures"), then from defaults: label column "Defective", a column
+    literally named "id" (case insensitive) as the identifier if present,
+    and every remaining column as a numeric measure. Blank records (no
+    cell with text) are skipped.
     Without an id column, module ids are "1", "2", ... in file order,
     counting the non-blank data records only.
 
@@ -226,7 +236,7 @@ def load_dataset(
     roles = _sidecar_roles(path)
     label_column = label_column or roles.get("label") or "Defective"
     count_column = count_column or roles.get("count")
-    id_column = id_column or roles.get("id")
+    id_column = roles.get("id")
     wanted_measures = roles.get("measures")
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -270,7 +280,6 @@ def load_dataset(
             id_column,
             roles.get("label"),
             roles.get("count"),
-            roles.get("id"),
         } - {None}
         if wanted_measures is not None:
             missing = [m for m in wanted_measures if m not in header]

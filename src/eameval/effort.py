@@ -137,11 +137,17 @@ def cumulative_effort_fractions(drv: EffortDriver, order, d: Dataset) -> np.ndar
     return fractions
 
 
-def cutoff_from_fractions(fractions: np.ndarray, budget: float) -> int:
-    """Largest count of leading whole modules whose fraction fits the budget."""
+def check_budget(budget) -> float:
+    """The budget as a float, checked to be an effort fraction in [0, 1]."""
+    budget = float(budget)
     if not 0.0 <= budget <= 1.0:
         raise ValueError(f"budget must be in [0, 1], got {budget}")
-    return int(np.searchsorted(fractions, budget + BUDGET_TOL, side="right"))
+    return budget
+
+
+def cutoff_from_fractions(fractions: np.ndarray, budget: float) -> int:
+    """Largest count of leading whole modules whose fraction fits the budget."""
+    return int(np.searchsorted(fractions, check_budget(budget) + BUDGET_TOL, side="right"))
 
 
 def budget_to_cutoff(drv: EffortDriver, order, d: Dataset, budget: float) -> int:

@@ -9,15 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .curves import CostEfficiencyCurve, cost_efficiency_curve, popt
 from .dataset import Dataset
-from .effort import EffortDriver, cutoff_from_fractions
+from .effort import EffortDriver, check_budget, cutoff_from_fractions
 from .metrics import (
     ClassificationMetrics,
     classification_metrics,
-    confusion_from_hits,
+    confusion_at_cutoff,
     roc_auc,
 )
 from .ranking import RankedList, checked_scores, optimal_ranking, rank
@@ -78,15 +76,12 @@ def evaluate_suite(
 
     The optimal ranking and its curve depend only on the driver, so each is
     computed once per driver and shared by that driver's cells; the
-    "optimal" policy cell reuses it as its own curve. Each budget's cutoff,
-    benefit and confusion matrix are read off the cell curve's effort
-    fractions and a prefix count of the defective modules found.
+    "optimal" policy cell reuses it as its own curve. Each budget's cutoff
+    and benefit are read off the cell curve, and its confusion matrix by
+    confusion_at_cutoff.
     """
     drivers = tuple(drivers)
-    budgets = tuple(float(b) for b in budgets)
-    for b in budgets:
-        if not 0.0 <= b <= 1.0:
-            raise ValueError(f"budget must be in [0, 1], got {b}")
+    budgets = tuple(map(check_budget, budgets))
     scores = checked_scores(scores, d)
 
     optimal: dict[EffortDriver, tuple[RankedList, CostEfficiencyCurve]] = {}
@@ -141,17 +136,15 @@ def evaluate_suite(
 
 def _budget_results(ranking: RankedList, curve: CostEfficiencyCurve, d: Dataset,
                     budgets) -> tuple[BudgetResult, ...]:
-    fractions = curve.xs[1:]
-    hits = np.concatenate(([0], np.cumsum(d.labels[ranking.order])))
     results = []
     for b in budgets:
-        cutoff = cutoff_from_fractions(fractions, b)
+        cutoff = cutoff_from_fractions(curve.xs[1:], b)
         results.append(
             BudgetResult(
                 budget=b,
                 value=float(curve.ys[cutoff]),
                 cutoff=cutoff,
-                metrics=classification_metrics(confusion_from_hits(int(hits[cutoff]), cutoff, d)),
+                metrics=classification_metrics(confusion_at_cutoff(ranking, d, cutoff)),
             )
         )
     return tuple(results)

@@ -82,11 +82,6 @@ def confusion_at_cutoff(ranking: RankedList, d: Dataset, cutoff: int) -> Confusi
     if not 0 <= cutoff <= d.n:
         raise ValueError(f"cutoff must be in [0, {d.n}], got {cutoff}")
     tp = int(np.count_nonzero(d.labels[ranking.order[:cutoff]]))
-    return confusion_from_hits(tp, cutoff, d)
-
-
-def confusion_from_hits(tp: int, cutoff: int, d: Dataset) -> ConfusionMatrix:
-    """The confusion matrix at a cutoff holding `tp` defective modules."""
     fn = d.num_defective - tp
     return ConfusionMatrix(tp=tp, fp=cutoff - tp, tn=d.n - cutoff - fn, fn=fn)
 

@@ -18,7 +18,10 @@ import numpy as np
 from .dataset import Dataset
 
 SCORE_KINDS = ("probability", "defect-count-estimate", "raw")
+SCORE_MATCHES = ("id", "order")
 PROBABILITY_CLAMP = 1e-12
+MAX_ITERATIONS = 100
+TOLERANCE = 1e-8
 # On z-scored predictors an effect this large only arises when the MLE is
 # running away, i.e. quasi-complete separation.
 SEPARATION_LIMIT = 15.0
@@ -125,19 +128,14 @@ def _collinear_message(names, Z: np.ndarray) -> str:
     return "collinear predictors among: " + ", ".join(names)
 
 
-def fit_blr(
-    d: Dataset,
-    predictors,
-    max_iterations: int = 100,
-    tolerance: float = 1e-8,
-) -> BlrModel:
+def fit_blr(d: Dataset, predictors) -> BlrModel:
     """Fit a binary logistic regression by IRLS.
 
     Predictors are z-scored internally for numerical stability and the
     coefficients mapped back to the original scale afterwards, so the
     returned model is a plain maximum-likelihood fit. Iteration stops when
-    the largest absolute coefficient change falls below `tolerance` or
-    after `max_iterations`. Quasi-complete separation (any standardized
+    the largest absolute coefficient change falls below TOLERANCE or
+    after MAX_ITERATIONS. Quasi-complete separation (any standardized
     coefficient beyond +-15) stops the fit early with converged=False and
     a SeparationWarning; the caller still gets the last iterate.
     """
@@ -166,7 +164,7 @@ def fit_blr(
     converged = False
     separation = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         eta = Z @ beta
         mu = _sigmoid(eta)
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
@@ -185,7 +183,7 @@ def fit_blr(
                 stacklevel=2,
             )
             break
-        if change < tolerance:
+        if change < TOLERANCE:
             converged = True
             break
 
@@ -238,43 +236,49 @@ def import_scores(path, d: Dataset, kind: str = "probability", match: str = "id"
 
     match="id": two columns (id, score), any order, every dataset module
     matched exactly once. match="order": a single column of n scores in
-    dataset order. A header row is detected by its non-numeric score cell.
+    dataset order. The first row is a header when its score cell is
+    non-numeric and, under match="id", its id cell is not a dataset id.
     Probability scores must lie in [0, 1] and are nudged off the exact
-    boundaries; defect-count estimates must be non-negative.
+    boundaries; defect-count estimates must be non-negative. A "row" in a
+    message is a CSV record number, blank records counted, as in
+    load_dataset; a bad score also names its module.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"score file not found: {path}")
-    if match not in ("id", "order"):
-        raise ValueError(f"match must be 'id' or 'order', got {match!r}")
+    if match not in SCORE_MATCHES:
+        raise ValueError(f"match must be one of {SCORE_MATCHES}, got {match!r}")
     if kind not in SCORE_KINDS:
         raise ValueError(f"kind must be one of {SCORE_KINDS}, got {kind!r}")
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if rows and _parse_score_cell(rows[0][-1]) is None:
-        rows = rows[1:]  # header row
+        rows = [(r, row) for r, row in enumerate(csv.reader(fh), 1) if any(c.strip() for c in row)]
+    known = set(d.ids)
+    if rows:
+        first = rows[0][1]
+        if _parse_score_cell(first[-1]) is None and (match == "order" or first[0].strip() not in known):
+            rows = rows[1:]  # header row
     if not rows:
         raise ValueError(f"{path.name}: no scores found")
 
     if match == "order":
-        if any(len(row) != 1 for row in rows):
-            raise ValueError(f"{path.name}: match='order' expects a single score column")
+        for r, row in rows:
+            if len(row) != 1:
+                raise ValueError(f"{path.name}: row {r}: match='order' expects a single score column")
         if len(rows) != d.n:
             raise ValueError(f"{path.name}: expected {d.n} scores, got {len(rows)}")
-        values = [_checked_score(row[0], kind, path.name) for row in rows]
+        values = [_checked_score(row[0], kind, path.name, r, i) for (r, row), i in zip(rows, d.ids)]
     else:
         by_id: dict[str, float] = {}
-        for row in rows:
+        for r, row in rows:
             if len(row) != 2:
-                raise ValueError(f"{path.name}: match='id' expects columns (id, score)")
+                raise ValueError(f"{path.name}: row {r}: match='id' expects columns (id, score)")
             module_id = row[0].strip()
             if module_id in by_id:
-                raise ValueError(f"{path.name}: duplicate id {module_id!r}")
-            by_id[module_id] = _checked_score(row[1], kind, path.name)
-        wanted = d.ids
-        known = set(wanted)
-        missing = [i for i in wanted if i not in by_id]
+                first = next(q for q, other in rows if other[0].strip() == module_id)
+                raise ValueError(f"{path.name}: duplicate module id {module_id!r} in rows {first} and {r}")
+            by_id[module_id] = _checked_score(row[1], kind, path.name, r, module_id)
+        missing = [i for i in d.ids if i not in by_id]
         extra = [i for i in by_id if i not in known]
         if missing or extra:
             parts = []
@@ -283,7 +287,7 @@ def import_scores(path, d: Dataset, kind: str = "probability", match: str = "id"
             if extra:
                 parts.append("unknown ids: " + ", ".join(extra))
             raise ValueError(f"{path.name}: {'; '.join(parts)}")
-        values = [by_id[i] for i in wanted]
+        values = [by_id[i] for i in d.ids]
 
     values = np.array(values, dtype=float)
     if kind == "probability":
@@ -298,12 +302,14 @@ def _parse_score_cell(cell: str) -> float | None:
         return None
 
 
-def _checked_score(cell: str, kind: str, filename: str) -> float:
+def _checked_score(cell: str, kind: str, filename: str, row: int, module_id: str) -> float:
     value = _parse_score_cell(cell)
     if value is None or not np.isfinite(value):
-        raise ValueError(f"{filename}: non-numeric score {cell!r}")
-    if kind == "probability" and not 0.0 <= value <= 1.0:
-        raise ValueError(f"{filename}: probability score {value} out of [0, 1]")
-    if kind == "defect-count-estimate" and value < 0:
-        raise ValueError(f"{filename}: negative defect-count estimate {value}")
-    return value
+        problem = f"non-numeric score {cell!r}"
+    elif kind == "probability" and not 0.0 <= value <= 1.0:
+        problem = f"probability score {value} out of [0, 1]"
+    elif kind == "defect-count-estimate" and value < 0:
+        problem = f"negative defect-count estimate {value}"
+    else:
+        return value
+    raise ValueError(f"{filename}: row {row} (module {module_id!r}): {problem}")

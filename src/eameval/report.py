@@ -110,9 +110,22 @@ def write_tables_csv(path, report: EvaluationReport) -> None:
             writer.writerow(row)
 
 
+def _point_cells(curve: CostEfficiencyCurve):
+    # Shortest round-trip reprs: a curve CSV reproduces every point exactly.
+    return zip(map(repr, curve.xs.tolist()), map(repr, curve.ys.tolist()))
+
+
 def write_curve_csv(path, curve: CostEfficiencyCurve) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"effort_fraction ({curve.driver})", f"benefit ({curve.policy})"])
-        for x, y in curve.points:
-            writer.writerow([repr(x), repr(y)])
+        writer.writerows(_point_cells(curve))
+
+
+def write_compare_csv(path, curves) -> None:
+    """Several curves in one long table: a (driver, policy, x, y) row per point."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["driver", "policy", "effort_fraction", "benefit"])
+        for curve in curves:
+            writer.writerows((curve.driver, curve.policy, x, y) for x, y in _point_cells(curve))

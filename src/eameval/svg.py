@@ -21,6 +21,7 @@ PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 TICKS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+X_LABEL = "effort fraction"
 
 
 def _escape(text: str) -> str:
@@ -31,19 +32,19 @@ def _px(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _to_canvas(x: float, y: float) -> tuple[float, float]:
+def _to_canvas(x, y):
+    """Canvas coordinates of unit-square points, floats or arrays."""
     return (MARGIN_LEFT + x * PLOT_W, HEIGHT - MARGIN_BOTTOM - y * PLOT_H)
 
 
 def _polyline_points(xs, ys) -> list[str]:
     """Canvas "x,y" pairs of a curve at the rendered 2-decimal precision.
 
-    The arithmetic is _to_canvas's, on whole arrays. A point whose pair
-    repeats the one before it is dropped: it draws nothing, so the line is
-    unchanged, and a long curve's plot shrinks to the points that show.
+    A point whose pair repeats the one before it is dropped: it draws
+    nothing, so the line is unchanged, and a long curve's plot shrinks to
+    the points that show.
     """
-    px = MARGIN_LEFT + np.asarray(xs, dtype=float) * PLOT_W
-    py = (HEIGHT - MARGIN_BOTTOM) - np.asarray(ys, dtype=float) * PLOT_H
+    px, py = _to_canvas(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
     pairs = map("{:.2f},{:.2f}".format, px.tolist(), py.tolist())
     return [pair for pair, _ in groupby(pairs)]
 
@@ -52,7 +53,6 @@ def render_curves(
     path,
     series,
     title: str,
-    x_label: str = "effort fraction",
     y_label: str = "benefit proportion",
 ) -> None:
     """Write an SVG overlaying unit-square curves.
@@ -94,7 +94,7 @@ def render_curves(
         f'<line x1="{_px(x0)}" y1="{_px(y0)}" x2="{_px(x0)}" y2="{_px(y1)}" stroke="black" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<text x="{(x0 + x1) / 2:.2f}" y="{HEIGHT - 14}" text-anchor="middle" font-size="13">{_escape(x_label)}</text>'
+        f'<text x="{(x0 + x1) / 2:.2f}" y="{HEIGHT - 14}" text-anchor="middle" font-size="13">{X_LABEL}</text>'
     )
     parts.append(
         f'<text x="16" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" font-size="13" '

@@ -1,9 +1,16 @@
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
 import eameval.selftest as selftest_module
-from eameval.cli import main
+from eameval.cli import build_parser, main
+from eameval.curves import BENEFIT_MODES, INTERPOLATIONS
+from eameval.model import SCORE_KINDS, SCORE_MATCHES
+from eameval.ranking import POLICIES, TIE_BREAKS
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 TOY_CSV = (
@@ -194,6 +201,32 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("spec, message", [
+        ("composite:LOC", "bad composite driver spec 'composite:LOC'"),
+        ("composite:LOC,McCC,2", "composite weight must be in [0, 1], got 2.0"),
+    ])
+    def test_malformed_driver_checked_before_data_is_read(self, spec, message, tmp_path, capsys):
+        code = run(["evaluate", "--data", tmp_path / "missing.csv", "--predictors", "LOC",
+                    "--effort", spec, "--out-dir", tmp_path / "o"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_budget_checked_before_data_is_read(self, tmp_path, capsys):
+        code = run(["evaluate", "--data", tmp_path / "missing.csv", "--predictors", "LOC",
+                    "--budgets", "0.2,1.5", "--out-dir", tmp_path / "o"])
+        assert code == 2
+        assert "budget must be in [0, 1], got 1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_repeated_driver_rejected(self, command, toy_csv, scores_csv, tmp_path, capsys):
+        code = run([
+            command, "--data", toy_csv, "--scores", scores_csv, "--score-match", "order",
+            "--effort", "LOC", "--effort", "McCC", "--effort", " LOC", "--out-dir", tmp_path / "o",
+        ])
+        assert code == 2
+        assert "effort driver 'LOC' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_argparse_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["evaluate", "--nonsense"])
@@ -276,3 +309,33 @@ class TestDeterminism:
             "--score-match", "order", "--out-dir", out,
         ]) == 0
         assert (out / "report.json").exists()
+
+
+class TestParser:
+    @pytest.fixture
+    def subparsers(self):
+        action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_choices_are_the_library_tuples(self, command, subparsers):
+        choices = {a.dest: a.choices for a in subparsers[command]._actions if a.choices is not None}
+        expected = {
+            "score_kind": SCORE_KINDS,
+            "score_match": SCORE_MATCHES,
+            "rank": POLICIES,
+            "tie_break": TIE_BREAKS,
+            "benefit": BENEFIT_MODES,
+            "popt_interp": INTERPOLATIONS,
+        }
+        assert choices.keys() == expected.keys()
+        for dest, values in expected.items():
+            assert choices[dest] is values, dest
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_help_text_unchanged(self, command, subparsers, monkeypatch):
+        # Recorded at 80 columns with Python 3.11; argparse's layout can
+        # differ in other Python versions.
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = (GOLDEN / f"{command}_help.txt").read_text(encoding="utf-8")
+        assert subparsers[command].format_help() == expected

@@ -397,6 +397,16 @@ class TestDatasetApi:
         assert d2.measure_vector("density").tolist() == [0.5, 0.1]
         assert not d2.measure_vector("density").flags.writeable
 
+    def test_with_measure_checks_only_the_new_column(self, toy, monkeypatch):
+        def fail(ids):
+            raise AssertionError("with_measure re-checked the shared ids")
+
+        monkeypatch.setattr(dataset_module, "_check_unique", fail)
+        d2 = toy.with_measure("density", [0.5, 0.05, 0.3, 0.05, 0.03])
+        assert d2.ids is toy.ids and d2.schema == ("LOC", "McCC", "density")
+        with pytest.raises(ValueError, match="measure 'bad' of module 'B' must be finite"):
+            toy.with_measure("bad", [1.0, math.nan, 3.0, 4.0, 5.0])
+
     def test_with_measure_rejects_duplicate_name(self, toy):
         with pytest.raises(ValueError, match="already"):
             toy.with_measure("LOC", [1, 2, 3, 4, 5])

@@ -303,6 +303,31 @@ class TestImportScores:
         with pytest.raises(ValueError, match="duplicate"):
             import_scores(path, toy, match="id")
 
+    def test_duplicate_id_names_both_rows(self, tmp_path, toy):
+        path = tmp_path / "s.csv"
+        path.write_text("id,score\nA,0.1\n\nB,0.2\nA,0.3\nC,0.4\nD,0.5\nE,0.6\n")
+        with pytest.raises(ValueError, match="duplicate module id 'A' in rows 2 and 5"):
+            import_scores(path, toy, match="id")
+
+    def test_non_numeric_score_names_row_and_module(self, tmp_path, toy):
+        path = tmp_path / "s.csv"
+        path.write_text("A,0.9\n\nB,x\nC,0.2\nD,0.4\nE,0.3\n")
+        with pytest.raises(ValueError, match=r"row 3 \(module 'B'\): non-numeric score 'x'"):
+            import_scores(path, toy, match="id")
+
+    def test_out_of_range_score_in_order_mode_names_row_and_module(self, tmp_path, toy):
+        path = tmp_path / "s.csv"
+        path.write_text("score\n0.9\n1.5\n0.6\n0.4\n0.3\n")
+        with pytest.raises(ValueError, match=r"row 3 \(module 'B'\): probability score 1.5 out of"):
+            import_scores(path, toy, kind="probability", match="order")
+
+    def test_first_row_with_a_dataset_id_is_not_a_header(self, tmp_path, toy):
+        # Taken as a header, this file would report "missing ids: A".
+        path = tmp_path / "s.csv"
+        path.write_text("A,x\nB,0.1\nC,0.2\nD,0.4\nE,0.3\n")
+        with pytest.raises(ValueError, match=r"row 1 \(module 'A'\): non-numeric score 'x'"):
+            import_scores(path, toy, match="id")
+
     def test_probability_out_of_range_rejected(self, tmp_path, toy):
         path = tmp_path / "s.csv"
         path.write_text("1.5\n0.8\n0.6\n0.4\n0.3\n")
