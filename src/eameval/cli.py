@@ -114,15 +114,19 @@ def _parse_budgets(text: str) -> list[float]:
 
 
 def _parse_drivers(args) -> list:
-    """The --effort drivers, each parsed, none repeated."""
+    """The --effort drivers, each parsed, none repeated, no two slugged alike."""
     drivers = []
     for text in args.effort or ["LOC"]:
         try:
             drv = parse_driver(text)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        if any(drv.name == seen.name for seen in drivers):
-            raise UsageError(f"effort driver {drv.name!r} given twice")
+        for seen in drivers:
+            if drv.name == seen.name:
+                raise UsageError(f"effort driver {drv.name!r} given twice")
+            if _slug(drv.name) == _slug(seen.name):
+                raise UsageError(f"effort drivers {seen.name!r} and {drv.name!r} "
+                                 f"share the slug {_slug(drv.name)!r}")
         drivers.append(drv)
     return drivers
 

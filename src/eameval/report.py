@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import starmap
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .curves import CostEfficiencyCurve
@@ -112,14 +115,17 @@ def write_tables_csv(path, report: EvaluationReport) -> None:
 
 def _point_cells(curve: CostEfficiencyCurve):
     # Shortest round-trip reprs: a curve CSV reproduces every point exactly.
-    return zip(map(repr, curve.xs.tolist()), map(repr, curve.ys.tolist()))
+    # ys take few distinct values; each bit pattern (-0.0 too) is repr'd once.
+    bits, index = np.unique(curve.ys.view(np.int64), return_inverse=True)
+    texts = np.array([repr(y) for y in bits.view(float).tolist()], dtype=object)
+    return zip(map(repr, curve.xs.tolist()), texts[index].tolist())
 
 
 def write_curve_csv(path, curve: CostEfficiencyCurve) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"effort_fraction ({curve.driver})", f"benefit ({curve.policy})"])
-        writer.writerows(_point_cells(curve))
+        csv.writer(fh).writerow([f"effort_fraction ({curve.driver})", f"benefit ({curve.policy})"])
+        # A float repr needs no quoting, unlike a driver name: csv.writer's bytes.
+        fh.writelines(starmap("{},{}\r\n".format, _point_cells(curve)))
 
 
 def write_compare_csv(path, curves) -> None:

@@ -42,10 +42,19 @@ def _polyline_points(xs, ys) -> list[str]:
 
     A point whose pair repeats the one before it is dropped: it draws
     nothing, so the line is unchanged, and a long curve's plot shrinks to
-    the points that show.
+    the points that show. Only points that may print apart from the one
+    before are formatted: a point surely repeats it when both coordinates
+    round to the same hundredths (sign of zero included) and none of the
+    four lies within 1e-6 of a half-hundredth or beyond 1e6 in magnitude.
     """
     px, py = _to_canvas(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    pairs = map("{:.2f},{:.2f}".format, px.tolist(), py.tolist())
+    repeat = np.arange(len(px)) > 0
+    for scaled in (100 * px, 100 * py):
+        key = np.rint(scaled)
+        clear = (np.abs(scaled - key) < 0.4999) & (np.abs(scaled) < 1e8)
+        bits = key.view(np.int64)
+        repeat[1:] &= clear[1:] & clear[:-1] & (bits[1:] == bits[:-1])
+    pairs = map("{:.2f},{:.2f}".format, px[~repeat].tolist(), py[~repeat].tolist())
     return [pair for pair, _ in groupby(pairs)]
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from eameval import selftest
 from eameval.dataset import Dataset, load_dataset
 from eameval.effort import EffortDriver
 from eameval.model import ScoreVector
@@ -38,16 +39,12 @@ def build_dataset(measures: dict, labels, counts=None, ids=None) -> Dataset:
 @pytest.fixture
 def toy() -> Dataset:
     """A..E with LOC [10,20,30,40,100], McCC [5,1,9,2,3]; A, C, E defective."""
-    return build_dataset(
-        {"LOC": [10, 20, 30, 40, 100], "McCC": [5, 1, 9, 2, 3]},
-        labels=[True, False, True, False, True],
-        ids=list("ABCDE"),
-    )
+    return selftest.toy_dataset()
 
 
 @pytest.fixture
 def toy_scores() -> ScoreVector:
-    return ScoreVector(values=[0.9, 0.8, 0.6, 0.4, 0.3], kind="probability")
+    return selftest.toy_scores()
 
 
 @pytest.fixture

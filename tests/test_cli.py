@@ -227,6 +227,34 @@ class TestExitCodes:
         assert "effort driver 'LOC' given twice" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_drivers_sharing_a_curve_file_name_rejected(self, command, scores_csv, tmp_path, capsys):
+        data = tmp_path / "t.csv"
+        data.write_text("id,a b,a-b,Defective\nA,1,2,Y\nB,2,1,N\nC,3,3,Y\nD,4,4,N\nE,5,5,Y\n")
+        code = run([
+            command, "--data", data, "--scores", scores_csv, "--score-match", "order",
+            "--effort", "a b", "--effort", "a-b", "--out-dir", tmp_path / "o",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "effort drivers 'a b' and 'a-b' share the slug 'a-b'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_drivers_with_distinct_slugs_each_get_a_curve_file(self, scores_csv, tmp_path):
+        data = tmp_path / "t.csv"
+        data.write_text("id,a b,a+c,Defective\nA,1,2,Y\nB,2,1,N\nC,3,3,Y\nD,4,4,N\nE,5,5,Y\n")
+        out = tmp_path / "o"
+        code = run([
+            "evaluate", "--data", data, "--scores", scores_csv, "--score-match", "order",
+            "--effort", "a b", "--effort", "a+c", "--out-dir", out,
+        ])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [r["curve_csv"] for r in report["results"]] == [
+            "curves/t_score_a-b.csv", "curves/t_score_a-c.csv",
+        ]
+        assert all((out / r["curve_csv"]).exists() for r in report["results"])
+
     def test_argparse_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["evaluate", "--nonsense"])

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,6 +28,34 @@ def without_repeats(points):
 def polyline_points(path):
     root = ET.parse(path).getroot()
     return [line.get("points").split(" ") for line in root.findall(f"{SVG_NS}polyline")]
+
+
+def preimage(target, forward, guess):
+    """A float v near guess with forward(v) == target exactly, or None."""
+    for direction in (np.inf, -np.inf):
+        v = guess
+        for _ in range(64):
+            if forward(v) == target:
+                return v
+            v = float(np.nextafter(v, direction))
+    return None
+
+
+def half_boundary_values(hundredths, forward, inverse):
+    """Unit values whose canvas coordinates sit exactly on, and 1 ulp
+    either side of, k/100 + 0.005 for each k whose three are reachable,
+    with a clear value on each side. k.005 lies between the two
+    neighbours, so they print apart."""
+    values = []
+    for k in hundredths:
+        half = float(Decimal(k) / 100 + Decimal("0.005"))
+        below, above = float(np.nextafter(half, -np.inf)), float(np.nextafter(half, np.inf))
+        assert f"{below:.2f}" != f"{above:.2f}"
+        exact = [preimage(c, forward, inverse(c)) for c in (below, half, above)]
+        if None not in exact:  # 62 + 560x skips some canvas floats
+            values += [inverse(half - 0.003), *exact, inverse(half + 0.003)]
+    assert len(values) >= len(hundredths)  # a fifth of the k at least
+    return values
 
 
 def monotone_curve(rng, n):
@@ -58,3 +87,36 @@ class TestPolylinePoints:
         assert len(points) == 72401
         assert len(set(points)) == len(points)
         assert points == without_repeats(point_reference(xs.tolist(), xs.tolist()))
+
+    def test_half_hundredth_ties_are_compared_as_text(self, tmp_path):
+        # Canvas coordinates on and next to k.005, where %.2f rounds by the
+        # exact binary value; consecutive points differ by a few ulps.
+        plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+        plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+        xs = half_boundary_values(
+            range(6200, 62200, 1399), lambda x: MARGIN_LEFT + x * plot_w,
+            lambda c: (c - MARGIN_LEFT) / plot_w)
+        ys = half_boundary_values(
+            range(4200, 42800, 997), lambda y: HEIGHT - MARGIN_BOTTOM - y * plot_h,
+            lambda c: (HEIGHT - MARGIN_BOTTOM - c) / plot_h)
+        # Every x against every y, each point twice so exact repeats occur too.
+        px = [x for x in xs for _ in ys for _ in range(2)]
+        py = [y for _ in xs for y in ys for _ in range(2)]
+        render_curves(tmp_path / "h.svg", [("ties", px, py)], title="t")
+        (points,) = polyline_points(tmp_path / "h.svg")
+        reference = point_reference(px, py)
+        assert points == without_repeats(reference)
+
+    def test_points_off_the_unit_square_are_compared_as_text(self, tmp_path):
+        plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+        # Canvas x just either side of 0 prints as "-0.00" and "0.00".
+        near_zero = [(c - MARGIN_LEFT) / plot_w for c in (-0.003, 0.003, -0.003, -0.001)]
+        # Near canvas x = 1e15, 100 * x no longer counts hundredths: neighbouring
+        # floats share rint(100 * x) yet print apart.
+        far = np.nextafter(1e15 / plot_w, np.inf) + np.arange(200) * np.spacing(1e15 / plot_w)
+        xs = near_zero + far.tolist()
+        ys = [0.5] * len(xs)
+        render_curves(tmp_path / "o.svg", [("off", xs, ys)], title="t")
+        (points,) = polyline_points(tmp_path / "o.svg")
+        assert points[:3] == ["-0.00,235.00", "0.00,235.00", "-0.00,235.00"]
+        assert points == without_repeats(point_reference(xs, ys))
