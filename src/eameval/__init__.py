@@ -10,13 +10,7 @@ __version__ = "0.1.0"
 
 from .curves import CostEfficiencyCurve, cost_efficiency_curve, pofb_at, popt
 from .dataset import DataQualityWarning, Dataset, DuplicateIdError, load_dataset, save_dataset
-from .effort import (
-    EffortDriver,
-    budget_to_cutoff,
-    cumulative_effort_fractions,
-    driver_values,
-    parse_driver,
-)
+from .effort import EffortDriver, cumulative_effort_fractions, driver_values, parse_driver
 from .evaluate import EvaluationCell, EvaluationReport, evaluate_suite
 from .metrics import (
     ClassificationMetrics,

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .curves import BENEFIT_MODES, INTERPOLATIONS, cost_efficiency_curve
+from .curves import BENEFIT_MODES, INTERPOLATIONS
 from .dataset import load_dataset
 from .effort import check_budget, parse_driver
 from .evaluate import evaluate_suite
@@ -28,8 +28,9 @@ from .model import (
     import_scores,
     predict_proba,
 )
-from .ranking import POLICIES, TIE_BREAKS, rank
+from .ranking import POLICIES, TIE_BREAKS
 from .report import (
+    budget_label,
     report_dict,
     write_compare_csv,
     write_curve_csv,
@@ -107,9 +108,12 @@ def _parse_budgets(text: str) -> list[float]:
         except ValueError:
             raise UsageError(f"bad budget {chunk!r}") from None
         try:
-            budgets.append(check_budget(value))
+            value = check_budget(value)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        if budget_label(value) in map(budget_label, budgets):
+            raise UsageError(f"budget {budget_label(value)} given twice")
+        budgets.append(value)
     return budgets
 
 
@@ -160,6 +164,16 @@ def _prepare(args):
     return d, scores, model
 
 
+def _evaluate(args, drivers, budgets):
+    """The one evaluation grid for the flags: the chosen policy under every driver."""
+    d, scores, model = _prepare(args)
+    return evaluate_suite(
+        d, scores, drivers, budgets, policies=[args.rank], norm=args.norm,
+        tie_break=args.tie_break, benefit=args.benefit, interpolation=args.popt_interp,
+        dataset_name=Path(args.data).stem, model=model,
+    )
+
+
 def _echo_flags(args, command: str) -> dict:
     flags = {
         "command": command,
@@ -182,30 +196,21 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text)
 
 
-def _benefit_label(benefit: str) -> str:
-    if benefit == "defects":
-        return "proportion of defects found"
-    return "proportion of defective modules found"
+def _plot(path: Path, result, args, title: str) -> None:
+    """One SVG overlaying the curves of every cell of the grid."""
+    if args.benefit == "defects":
+        y_label = "proportion of defects found"
+    else:
+        y_label = "proportion of defective modules found"
+    curves = [(cell.driver, cell.curve.xs, cell.curve.ys) for cell in result.cells]
+    render_curves(path, curves, title=title, y_label=y_label)
 
 
 def cmd_evaluate(args) -> int:
     drivers = _parse_drivers(args)
     budgets = _parse_budgets(args.budgets)
-    d, scores, model = _prepare(args)
-    name = Path(args.data).stem
-    result = evaluate_suite(
-        d,
-        scores,
-        drivers,
-        budgets,
-        policies=[args.rank],
-        norm=args.norm,
-        tie_break=args.tie_break,
-        benefit=args.benefit,
-        interpolation=args.popt_interp,
-        dataset_name=name,
-        model=model,
-    )
+    result = _evaluate(args, drivers, budgets)
+    name = result.dataset_name
 
     out_dir = Path(args.out_dir)
     curves_dir = out_dir / "curves"
@@ -220,12 +225,7 @@ def cmd_evaluate(args) -> int:
             "csv": f"curves/{csv_name}",
             "svg": f"curves/{svg_name}",
         }
-    render_curves(
-        curves_dir / svg_name,
-        [(cell.driver, cell.curve.xs, cell.curve.ys) for cell in result.cells],
-        title=f"{name} ({args.rank} ranking)",
-        y_label=_benefit_label(args.benefit),
-    )
+    _plot(curves_dir / svg_name, result, args, f"{name} ({args.rank} ranking)")
 
     payload = report_dict(result, curve_files, flags=_echo_flags(args, "evaluate"))
     write_report_json(out_dir / "report.json", payload)
@@ -240,25 +240,15 @@ def cmd_compare(args) -> int:
     drivers = _parse_drivers(args)
     if len(drivers) < 2:
         raise UsageError("need >=2 drivers: repeat --effort")
-    d, scores, model = _prepare(args)
-    name = Path(args.data).stem
-
-    curves = []
-    for drv in drivers:
-        ranking = rank(args.rank, scores, d, drv, norm=args.norm, tie_break=args.tie_break)
-        curves.append(cost_efficiency_curve(ranking, drv, d, benefit=args.benefit))
+    result = _evaluate(args, drivers, ())
+    name = result.dataset_name
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     svg_path = out_dir / f"{name}_compare.svg"
-    render_curves(
-        svg_path,
-        [(curve.driver, curve.xs, curve.ys) for curve in curves],
-        title=f"{name}: effort drivers compared ({args.rank} ranking)",
-        y_label=_benefit_label(args.benefit),
-    )
+    _plot(svg_path, result, args, f"{name}: effort drivers compared ({args.rank} ranking)")
     csv_path = out_dir / f"{name}_compare.csv"
-    write_compare_csv(csv_path, curves)
+    write_compare_csv(csv_path, [cell.curve for cell in result.cells])
     print(f"wrote {svg_path}")
     print(f"wrote {csv_path}")
     return 0

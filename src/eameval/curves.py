@@ -56,11 +56,6 @@ class CostEfficiencyCurve:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        """The (x, y) pairs as Python floats, for writers that print them."""
-        return tuple(zip(self.xs.tolist(), self.ys.tolist()))
-
 
 def _benefit_weights(d: Dataset, benefit: str) -> np.ndarray:
     if benefit == "modules":

@@ -95,35 +95,13 @@ def _min_max(values: np.ndarray, name: str) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def permutation_index(order, n: int) -> np.ndarray:
-    """A ranking's module indices as a read-only array, checked to permute 0..n-1.
-
-    A RankedList's order was checked when the list was built, so it is
-    returned as is; any other index sequence is checked here, vectorised.
-    """
-    from .ranking import RankedList  # ranking imports this module
-
-    if isinstance(order, RankedList):
-        index = order.order
-        if len(index) != n:
-            raise ValueError(f"order is not a permutation of 0..{n - 1}")
-        return index
-    index = np.array(order)
-    if index.size == 0:
-        index = index.astype(np.intp)
-    if index.dtype.kind not in "iu" or not np.array_equal(np.sort(index), np.arange(n)):
-        raise ValueError(f"order is not a permutation of 0..{n - 1}")
-    index.flags.writeable = False
-    return index
-
-
-def cumulative_effort_fractions(drv: EffortDriver, order, d: Dataset) -> np.ndarray:
-    """Cumulative effort fraction after each whole module along the ranking.
+def cumulative_effort_fractions(drv: EffortDriver, ranking, d: Dataset) -> np.ndarray:
+    """Cumulative effort fraction after each whole module along a RankedList.
 
     Entry k is the effort of the first k+1 modules divided by the whole
     system's effort, so effort units cancel. The last entry is exactly 1.
     """
-    idx = permutation_index(order, d.n)
+    idx = ranking.order_for(d)
     values = driver_values(drv, d)
     sums = np.cumsum(values[idx])
     # Divide by the cumulative sum's own last element, not a separately
@@ -148,12 +126,3 @@ def check_budget(budget) -> float:
 def cutoff_from_fractions(fractions: np.ndarray, budget: float) -> int:
     """Largest count of leading whole modules whose fraction fits the budget."""
     return int(np.searchsorted(fractions, check_budget(budget) + BUDGET_TOL, side="right"))
-
-
-def budget_to_cutoff(drv: EffortDriver, order, d: Dataset, budget: float) -> int:
-    """How many leading modules of the ranking an effort budget pays for.
-
-    Whole modules only: the cutoff is the largest k whose cumulative effort
-    fraction does not exceed the budget (within a 1e-12 tolerance).
-    """
-    return cutoff_from_fractions(cumulative_effort_fractions(drv, order, d), budget)

@@ -79,9 +79,10 @@ class ClassificationMetrics:
 
 def confusion_at_cutoff(ranking: RankedList, d: Dataset, cutoff: int) -> ConfusionMatrix:
     """Treat the first `cutoff` ranked modules as estimated positive."""
+    order = ranking.order_for(d)
     if not 0 <= cutoff <= d.n:
         raise ValueError(f"cutoff must be in [0, {d.n}], got {cutoff}")
-    tp = int(np.count_nonzero(d.labels[ranking.order[:cutoff]]))
+    tp = int(np.count_nonzero(d.labels[order[:cutoff]]))
     fn = d.num_defective - tp
     return ConfusionMatrix(tp=tp, fp=cutoff - tp, tn=d.n - cutoff - fn, fn=fn)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataQualityWarning, Dataset
-from .effort import EffortDriver, driver_values, permutation_index
+from .effort import EffortDriver, driver_values
 
 TIE_BREAKS = ("asc", "desc", "input")
 POLICIES = ("score", "density", "optimal")
@@ -28,7 +28,8 @@ class RankedList:
     order and key_values may be given as any sequences or arrays; they are
     stored as read-only arrays (integer indices, float keys). The
     permutation is checked here, once; the package's curve, effort and
-    metric functions read order without checking it again.
+    metric functions read it through order_for, which checks only that
+    the ranking is one of the dataset at hand.
     """
 
     order: np.ndarray
@@ -36,13 +37,25 @@ class RankedList:
     key_values: np.ndarray
 
     def __post_init__(self) -> None:
-        order = permutation_index(self.order, len(self.order))
+        order = np.array(self.order)
+        if order.size == 0:
+            order = order.astype(np.intp)
+        n = len(order)
+        if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"order is not a permutation of 0..{n - 1}")
         keys = np.array(self.key_values, dtype=float)
         if keys.shape != order.shape:
             raise ValueError("one key value per module required")
+        order.flags.writeable = False
         keys.flags.writeable = False
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "key_values", keys)
+
+    def order_for(self, d: Dataset) -> np.ndarray:
+        """The order, checked to rank exactly the modules of d."""
+        if len(self.order) != d.n:
+            raise ValueError(f"order is not a permutation of 0..{d.n - 1}")
+        return self.order
 
 
 def checked_scores(scores, d: Dataset) -> np.ndarray:

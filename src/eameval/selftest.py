@@ -12,7 +12,7 @@ import numpy as np
 
 from .curves import cost_efficiency_curve, pofb_at, popt
 from .dataset import Dataset
-from .effort import EffortDriver, budget_to_cutoff, cumulative_effort_fractions
+from .effort import EffortDriver, cumulative_effort_fractions, cutoff_from_fractions
 from .metrics import classification_metrics, confusion_at_cutoff, roc_auc
 from .model import ScoreVector, fit_blr, log_likelihood_and_gradient, predict_proba
 from .ranking import optimal_ranking, rank_by_score
@@ -50,8 +50,8 @@ def check_effort_fractions() -> None:
 def check_budget_cutoffs() -> None:
     d = toy_dataset()
     ranking = rank_by_score(toy_scores(), d, driver=LOC)
-    ep_loc = budget_to_cutoff(LOC, ranking, d, 0.5)
-    ep_mccc = budget_to_cutoff(MCCC, ranking, d, 0.5)
+    ep_loc = cutoff_from_fractions(cumulative_effort_fractions(LOC, ranking, d), 0.5)
+    ep_mccc = cutoff_from_fractions(cumulative_effort_fractions(MCCC, ranking, d), 0.5)
     _expect(ep_loc == 4, f"LOC cutoff at 0.5: {ep_loc} != 4")
     _expect(ep_mccc == 2, f"McCC cutoff at 0.5: {ep_mccc} != 2")
 
@@ -59,12 +59,14 @@ def check_budget_cutoffs() -> None:
 def check_curve_points() -> None:
     d = toy_dataset()
     ranking = rank_by_score(toy_scores(), d, driver=LOC)
-    loc_curve = cost_efficiency_curve(ranking, LOC, d)
-    want_loc = ((0.0, 0.0), (0.05, 1 / 3), (0.15, 1 / 3), (0.30, 2 / 3), (0.50, 2 / 3), (1.0, 1.0))
-    _expect(loc_curve.points == want_loc, f"LOC curve {loc_curve.points} != {want_loc}")
-    mccc_curve = cost_efficiency_curve(rank_by_score(toy_scores(), d, driver=MCCC), MCCC, d)
-    want_mccc = ((0.0, 0.0), (0.25, 1 / 3), (0.30, 1 / 3), (0.75, 2 / 3), (0.85, 2 / 3), (1.0, 1.0))
-    _expect(mccc_curve.points == want_mccc, f"McCC curve {mccc_curve.points} != {want_mccc}")
+    loc = cost_efficiency_curve(ranking, LOC, d)
+    loc_points = (loc.xs.tolist(), loc.ys.tolist())
+    want_loc = ([0.0, 0.05, 0.15, 0.30, 0.50, 1.0], [0.0, 1 / 3, 1 / 3, 2 / 3, 2 / 3, 1.0])
+    _expect(loc_points == want_loc, f"LOC curve {loc_points} != {want_loc}")
+    mccc = cost_efficiency_curve(rank_by_score(toy_scores(), d, driver=MCCC), MCCC, d)
+    mccc_points = (mccc.xs.tolist(), mccc.ys.tolist())
+    want_mccc = ([0.0, 0.25, 0.30, 0.75, 0.85, 1.0], [0.0, 1 / 3, 1 / 3, 2 / 3, 2 / 3, 1.0])
+    _expect(mccc_points == want_mccc, f"McCC curve {mccc_points} != {want_mccc}")
 
 
 def check_pofb_readings() -> None:

@@ -19,8 +19,8 @@ import pytest
 from eameval.curves import cost_efficiency_curve, pofb_at, popt
 from eameval.effort import (
     EffortDriver,
-    budget_to_cutoff,
     cumulative_effort_fractions,
+    cutoff_from_fractions,
     driver_values,
 )
 from eameval.evaluate import evaluate_suite
@@ -164,11 +164,10 @@ def test_criterion_4_toy_instance_matches_hand_enumeration(toy, toy_scores):
     rank_loc = rank_by_score(toy_scores, toy, driver=loc)
     rank_mccc = rank_by_score(toy_scores, toy, driver=mccc)
 
-    assert list(cumulative_effort_fractions(loc, rank_loc, toy)) == [
-        0.05, 0.15, 0.30, 0.50, 1.00,
-    ]
-    assert budget_to_cutoff(loc, rank_loc, toy, 0.5) == 4
-    assert budget_to_cutoff(mccc, rank_mccc, toy, 0.5) == 2
+    fractions_loc = cumulative_effort_fractions(loc, rank_loc, toy)
+    assert list(fractions_loc) == [0.05, 0.15, 0.30, 0.50, 1.00]
+    assert cutoff_from_fractions(fractions_loc, 0.5) == 4
+    assert cutoff_from_fractions(cumulative_effort_fractions(mccc, rank_mccc, toy), 0.5) == 2
 
     curve_loc = cost_efficiency_curve(rank_loc, loc, toy)
     curve_mccc = cost_efficiency_curve(rank_mccc, mccc, toy)
@@ -276,9 +275,11 @@ def test_criterion_6_effort_units_cancel():
         assert np.allclose(curve_s.xs, curve_q.xs, rtol=0, atol=1e-12)
         assert np.allclose(curve_s.ys, curve_q.ys, rtol=0, atol=1e-12)
 
+        fractions_s = cumulative_effort_fractions(drv_s, rank_s, d)
+        fractions_q = cumulative_effort_fractions(drv_q, rank_q, d)
         for t in grid:
             assert abs(pofb_at(curve_s, t) - pofb_at(curve_q, t)) <= 1e-12
-            assert budget_to_cutoff(drv_s, rank_s, d, t) == budget_to_cutoff(drv_q, rank_q, d, t)
+            assert cutoff_from_fractions(fractions_s, t) == cutoff_from_fractions(fractions_q, t)
 
         opt_s = cost_efficiency_curve(optimal_ranking(d, drv_s), drv_s, d)
         opt_q = cost_efficiency_curve(optimal_ranking(d, drv_q), drv_q, d)
@@ -299,7 +300,8 @@ def test_criterion_7_monotonicity_suite():
         readings = [pofb_at(curve, float(t)) for t in grid]
         assert all(b >= a for a, b in zip(readings, readings[1:]))
 
-        cutoffs = [budget_to_cutoff(drv, ranking, d, float(t)) for t in grid]
+        fractions = cumulative_effort_fractions(drv, ranking, d)
+        cutoffs = [cutoff_from_fractions(fractions, float(t)) for t in grid]
         assert cutoffs == sorted(cutoffs)
 
         cells = [confusion_at_cutoff(ranking, d, k) for k in range(d.n + 1)]

@@ -227,6 +227,17 @@ class TestExitCodes:
         assert "effort driver 'LOC' given twice" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # 0.2000000000001 is another float but the same PofB@0.2 column
+    @pytest.mark.parametrize("budgets", ["0.2,0.5, 0.20", "0.2,0.2000000000001"])
+    def test_repeated_budget_rejected(self, budgets, toy_csv, scores_csv, tmp_path, capsys):
+        code = run([
+            "evaluate", "--data", toy_csv, "--scores", scores_csv, "--score-match", "order",
+            "--budgets", budgets, "--out-dir", tmp_path / "o",
+        ])
+        assert code == 2
+        assert "budget 0.2 given twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_drivers_sharing_a_curve_file_name_rejected(self, command, scores_csv, tmp_path, capsys):
         data = tmp_path / "t.csv"

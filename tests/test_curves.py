@@ -79,11 +79,6 @@ class TestCurveConstruction:
             assert np.all(np.diff(curve.xs) >= 0)
             assert np.all(np.diff(curve.ys) >= 0)
 
-    def test_points_property_pairs_up(self, toy_curves):
-        model, _ = toy_curves
-        assert model.points[0] == (0.0, 0.0)
-        assert model.points[-1] == (1.0, 1.0)
-
     def test_validation_rejects_bad_polyline(self):
         with pytest.raises(ValueError):
             CostEfficiencyCurve(
@@ -106,7 +101,7 @@ class TestCurveConstruction:
         d = build_dataset({"LOC": [5]}, [True])
         ranking = rank_by_score(np.array([0.9]), d)
         curve = cost_efficiency_curve(ranking, loc_driver, d)
-        assert list(curve.points) == [(0.0, 0.0), (1.0, 1.0)]
+        assert (curve.xs.tolist(), curve.ys.tolist()) == ([0.0, 1.0], [0.0, 1.0])
         assert pofb_at(curve, 1.0) == 1.0
         assert pofb_at(curve, 0.5) == 0.0
 

@@ -6,18 +6,25 @@ from hypothesis import strategies as st
 from eameval.effort import (
     BUDGET_TOL,
     EffortDriver,
-    budget_to_cutoff,
     cumulative_effort_fractions,
     cutoff_from_fractions,
     driver_values,
     parse_driver,
 )
-from eameval.ranking import rank_by_score
+from eameval.ranking import RankedList, rank_by_score
 
 from conftest import build_dataset
 
 
-IDENTITY = list(range(5))
+def as_ranking(order):
+    return RankedList(order=order, policy="score", key_values=[0.0] * len(order))
+
+
+IDENTITY = as_ranking(range(5))
+
+
+def budget_cutoff(drv, ranking, d, budget):
+    return cutoff_from_fractions(cumulative_effort_fractions(drv, ranking, d), budget)
 
 
 class TestParseDriver:
@@ -107,11 +114,11 @@ class TestCumulativeFractions:
         assert list(fr) == [0.05, 0.15, 0.30, 0.50, 1.00]
 
     def test_last_fraction_is_exactly_one(self, toy, mccc_driver):
-        fr = cumulative_effort_fractions(mccc_driver, [4, 2, 0, 1, 3], toy)
+        fr = cumulative_effort_fractions(mccc_driver, as_ranking([4, 2, 0, 1, 3]), toy)
         assert fr[-1] == 1.0
 
     def test_monotone_nondecreasing(self, toy, loc_driver):
-        fr = cumulative_effort_fractions(loc_driver, [2, 0, 4, 1, 3], toy)
+        fr = cumulative_effort_fractions(loc_driver, as_ranking([2, 0, 4, 1, 3]), toy)
         assert np.all(np.diff(fr) >= 0)
 
     def test_accepts_ranked_list(self, toy, toy_scores, loc_driver):
@@ -122,30 +129,29 @@ class TestCumulativeFractions:
     def test_zero_total_effort_rejected(self, loc_driver):
         d = build_dataset({"LOC": [0, 0]}, [True, False])
         with pytest.raises(ValueError, match="degenerate"):
-            cumulative_effort_fractions(loc_driver, [0, 1], d)
+            cumulative_effort_fractions(loc_driver, as_ranking([0, 1]), d)
 
     def test_non_permutation_rejected(self, toy, loc_driver):
-        with pytest.raises(ValueError):
-            cumulative_effort_fractions(loc_driver, [0, 0, 1, 2, 3], toy)
-        with pytest.raises(ValueError):
-            cumulative_effort_fractions(loc_driver, [0, 1], toy)
+        # a ranking of a 2-module dataset read against the 5-module toy
+        with pytest.raises(ValueError, match=r"not a permutation of 0\.\.4"):
+            cumulative_effort_fractions(loc_driver, as_ranking([0, 1]), toy)
 
 
 class TestBudgetCutoff:
     def test_toy_loc_budget_half(self, toy, loc_driver):
-        assert budget_to_cutoff(loc_driver, IDENTITY, toy, 0.5) == 4
+        assert budget_cutoff(loc_driver, IDENTITY, toy, 0.5) == 4
 
     def test_toy_mccc_budget_half(self, toy, mccc_driver):
-        assert budget_to_cutoff(mccc_driver, IDENTITY, toy, 0.5) == 2
+        assert budget_cutoff(mccc_driver, IDENTITY, toy, 0.5) == 2
 
     def test_budget_extremes(self, toy, loc_driver):
-        assert budget_to_cutoff(loc_driver, IDENTITY, toy, 0.0) == 0
-        assert budget_to_cutoff(loc_driver, IDENTITY, toy, 1.0) == toy.n
+        assert budget_cutoff(loc_driver, IDENTITY, toy, 0.0) == 0
+        assert budget_cutoff(loc_driver, IDENTITY, toy, 1.0) == toy.n
 
     def test_boundary_budget_includes_module(self, toy, loc_driver):
         # cumulative fractions are [.05, .15, .30, .50, 1]; a budget equal
         # to a boundary admits the module that lands exactly on it
-        assert budget_to_cutoff(loc_driver, IDENTITY, toy, 0.30) == 3
+        assert budget_cutoff(loc_driver, IDENTITY, toy, 0.30) == 3
 
     def test_tolerance_absorbs_float_noise(self):
         fr = np.array([0.1, 0.2 + 5e-13, 1.0])
@@ -154,17 +160,17 @@ class TestBudgetCutoff:
     def test_zero_effort_modules_are_free(self):
         d = build_dataset({"LOC": [0, 0, 5]}, [True, False, True])
         drv = EffortDriver(measures=("LOC",))
-        assert budget_to_cutoff(drv, [0, 1, 2], d, 0.0) == 2
+        assert budget_cutoff(drv, as_ranking([0, 1, 2]), d, 0.0) == 2
 
     def test_monotone_in_budget(self, toy, loc_driver):
         budgets = np.linspace(0, 1, 41)
-        cuts = [budget_to_cutoff(loc_driver, IDENTITY, toy, float(b)) for b in budgets]
+        cuts = [budget_cutoff(loc_driver, IDENTITY, toy, float(b)) for b in budgets]
         assert cuts == sorted(cuts)
 
     @pytest.mark.parametrize("budget", [-0.01, 1.01])
     def test_budget_out_of_range(self, toy, loc_driver, budget):
         with pytest.raises(ValueError, match="budget"):
-            budget_to_cutoff(loc_driver, IDENTITY, toy, budget)
+            budget_cutoff(loc_driver, IDENTITY, toy, budget)
 
 
 class TestScaleInvariance:
@@ -184,7 +190,7 @@ class TestScaleInvariance:
             {"s": values, "q": [k * v for v in values]},
             [i % 2 == 0 for i in range(n)],
         )
-        order = list(range(n))
+        order = as_ranking(range(n))
         fr_s = cumulative_effort_fractions(EffortDriver(measures=("s",)), order, d)
         fr_q = cumulative_effort_fractions(EffortDriver(measures=("q",)), order, d)
         assert np.allclose(fr_s, fr_q, rtol=0, atol=1e-12)

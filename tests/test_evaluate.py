@@ -3,7 +3,7 @@ import pytest
 
 import eameval.evaluate as evaluate_module
 from eameval.curves import cost_efficiency_curve, pofb_at, popt
-from eameval.effort import EffortDriver, budget_to_cutoff
+from eameval.effort import EffortDriver, cumulative_effort_fractions, cutoff_from_fractions
 from eameval.evaluate import evaluate_suite
 from eameval.metrics import classification_metrics, confusion_at_cutoff
 from eameval.ranking import optimal_ranking, rank
@@ -133,7 +133,7 @@ class TestSharedWork:
                 assert np.array_equal(cell.curve.ys, curve.ys)
                 assert cell.popt == popt(curve, best, interpolation=interpolation)
                 for b, result in zip(budgets, cell.budgets):
-                    cutoff = budget_to_cutoff(drv, ranking, d, b)
+                    cutoff = cutoff_from_fractions(cumulative_effort_fractions(drv, ranking, d), b)
                     assert result.cutoff == cutoff
                     assert result.value == pofb_at(curve, b)
                     assert result.metrics == classification_metrics(

@@ -53,6 +53,8 @@ CASES = {
                                      "--benefit", "defects", "--popt-interp", "linear"],
     "compare-score-id-defects": ["compare", "--data", "proj.csv", *EFFORT, *BY_ID,
                                  "--rank", "score", "--benefit", "defects"],
+    "compare-optimal-order-modules": ["compare", "--data", "proj.csv", *EFFORT, *BY_ORDER,
+                                      "--rank", "optimal", "--benefit", "modules"],
 }
 
 

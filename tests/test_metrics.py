@@ -53,6 +53,13 @@ class TestConfusion:
         with pytest.raises(ValueError, match="cutoff"):
             confusion_at_cutoff(r, toy, cutoff)
 
+    @pytest.mark.parametrize("cutoff", [4, 5])
+    def test_ranking_of_another_dataset_rejected(self, toy, cutoff):
+        small = build_dataset({"LOC": [1, 2, 3]}, [True, False, True])
+        r = rank_by_score([0.9, 0.5, 0.1], small)
+        with pytest.raises(ValueError, match=r"order is not a permutation of 0\.\.4"):
+            confusion_at_cutoff(r, toy, cutoff)
+
     def test_margin_properties(self):
         c = ConfusionMatrix(tp=3, fp=2, tn=5, fn=1)
         assert c.estimated_positive == 5

@@ -248,6 +248,8 @@ class TestRankedList:
     def test_out_of_range_and_non_integer_indices_rejected(self):
         with pytest.raises(ValueError):
             RankedList(order=(0, 3, 1), policy="score", key_values=(3.0, 2.0, 1.0))
+        with pytest.raises(ValueError, match=r"not a permutation of 0\.\.4"):
+            RankedList(order=(0, 0, 1, 2, 3), policy="score", key_values=(5.0, 4.0, 3.0, 2.0, 1.0))
         with pytest.raises(ValueError):
             RankedList(order=(0.0, 1.0), policy="score", key_values=(2.0, 1.0))
 
