@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import itertools
 import json
 import math
@@ -26,8 +27,8 @@ TRUE_SPELLINGS = {"y", "yes", "true", "1"}
 FALSE_SPELLINGS = {"n", "no", "false", "0"}
 _LABEL_CODES = {**dict.fromkeys(TRUE_SPELLINGS, 1), **dict.fromkeys(FALSE_SPELLINGS, 0)}
 
-# Records per block of load_dataset's stream: the raw cells of one block are
-# all it holds of the file at any time.
+# Lines per block of load_dataset's stream: one block's lines, and its cells,
+# are all it holds of the file at any time.
 _BLOCK_ROWS = 4096
 
 
@@ -197,7 +198,33 @@ def _sidecar_roles(path: Path) -> dict:
     roles = json.loads(sidecar.read_text(encoding="utf-8"))
     if not isinstance(roles, dict):
         raise ValueError(f"{sidecar.name}: expected a JSON object")
+    for key, value in roles.items():
+        if key not in ("label", "count", "id", "measures"):
+            raise ValueError(f"{sidecar.name}: unknown key {key!r}; expected label, count, id or measures")
+        if key == "measures":
+            if not (isinstance(value, list) and all(isinstance(m, str) for m in value)):
+                raise ValueError(f"{sidecar.name}: 'measures' must be a list of column names, got {value!r}")
+        elif not isinstance(value, str):
+            raise ValueError(f"{sidecar.name}: {key!r} must be a column name, got {value!r}")
     return roles
+
+
+def csv_records(lines, name: str, first: int = 1, stop: int | None = None):
+    """(record number, cells) for each record csv.reader reads from lines,
+    numbering from first; with stop, the last is the record that reaches
+    the stop-th line. A csv.Error, such as a field over
+    csv.field_size_limit() after a stray quote, becomes a ValueError naming
+    the file and the record it is in."""
+    reader = csv.reader(lines)
+    number = first
+    try:
+        for cells in reader:
+            yield number, cells
+            if stop is not None and reader.line_num >= stop:
+                return
+            number += 1
+    except csv.Error as err:
+        raise ValueError(f"{name}: row {number}: {err}") from None
 
 
 def load_dataset(
@@ -225,9 +252,12 @@ def load_dataset(
     the whole file has been read. A measure column without a single finite
     cell is an error, raised before any warning.
 
-    The file is read as a stream: the loader holds the raw cells of one
-    block of rows at a time, parses each measure column of a block in one
-    call, and builds each column once at the end.
+    The file is read as a stream, one block of lines at a time. numpy's C
+    reader parses a block of plain lines (no quote, the header's field
+    count, numbers numpy reads as float() does); any other block is read
+    with csv.reader, which may read past the block to finish a quoted cell.
+    Both feed the same column checks. A record csv.reader cannot read (a
+    stray quote) is an error naming its row.
     """
     path = Path(path)
     if not path.exists():
@@ -240,10 +270,8 @@ def load_dataset(
     wanted_measures = roles.get("measures")
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        records = csv.reader(fh)
-        header_row = 0
-        for row in records:
-            header_row += 1
+        records = csv_records(fh, path.name)
+        for header_row, row in records:
             if not _blank(row):
                 header = [c.strip() for c in row]
                 break
@@ -252,7 +280,7 @@ def load_dataset(
         # The first non-blank data record is read ahead, so that a file
         # without one is reported as such before any header problem.
         lead = []
-        for row in records:
+        for _, row in records:
             lead.append(row)
             if not _blank(row):
                 break
@@ -297,9 +325,14 @@ def load_dataset(
             id_at=col_index.get(id_column),
             measures=[(name, col_index[name]) for name in measure_columns],
         )
-        first = header_row + 1  # row number of a block's first record
-        rows = itertools.chain(lead, records)
-        for block in iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), []):
+        table.add(lead, header_row + 1)
+        first = header_row + 1 + len(lead)  # row number of a block's first record
+        for lines in iter(lambda: list(itertools.islice(fh, _BLOCK_ROWS)), []):
+            if table.add_lines(lines, first):
+                first += len(lines)
+                continue
+            records = csv_records(itertools.chain(lines, fh), path.name, first, stop=len(lines))
+            block = [row for _, row in records]
             table.add(block, first)
             first += len(block)
 
@@ -355,42 +388,79 @@ class _Table:
         self.rows, self.ids, self.labels, self.counts = [], [], [], []
         self.columns = [[] for _ in measures]
         self.rejections, self.blank_rows = [], []
+        self.text_at = [label_at] + ([] if id_at is None else [id_at])
+        self.number_at = [i for _, i in measures] + ([] if count_at is None else [count_at])
 
     def add(self, block: list, first: int) -> None:
-        """Parse one block of records; first is the row number of block[0]."""
-        full_width = [len(row) == self.width for row in block]
-        full = block if all(full_width) else list(itertools.compress(block, full_width))
-        accepted = np.zeros(len(block), dtype=bool)
-        if full:
-            cells = list(zip(*full))
-            labels = _label_codes(cells[self.label_at])
-            good = labels >= 0
-            values = []
-            for j, (_, i) in enumerate(self.measures):
-                column = _floats(cells[i])
-                finite = np.isfinite(column)
-                self.seen_finite[j] = self.seen_finite[j] or bool(finite.any())
-                good &= finite & (column >= 0)
-                values.append(column)
-            if self.count_at is not None:
-                raw = _floats(cells[self.count_at])
-                counts = np.round(raw) + 0.0  # + 0.0 turns -0.0 into 0.0, as int() does
-                with np.errstate(invalid="ignore"):
-                    good &= np.isfinite(raw) & (raw >= 0) & (np.abs(raw - counts) <= 1e-9)
-                good &= (counts > 0) == (labels == 1)
-                self.counts.append(counts[good])
-            accepted[np.flatnonzero(full_width)] = good
-            self.rows.append(first + np.flatnonzero(accepted))
-            if self.id_at is not None:
-                self.ids.extend(map(str.strip, itertools.compress(cells[self.id_at], good.tolist())))
-            self.labels.append(labels[good] == 1)
-            for parts, column in zip(self.columns, values):
-                parts.append(column[good])
+        """Check one block of csv.reader records; first is the row number of block[0]."""
+        full_width = np.array([len(row) == self.width for row in block], dtype=bool)
+        full = block if full_width.all() else list(itertools.compress(block, full_width))
+        cells = list(zip(*full)) or [()] * self.width
+        self._check(first, full_width, cells.__getitem__, lambda i: _floats(cells[i]), block.__getitem__)
+
+    def add_lines(self, lines: list, first: int) -> bool:
+        """Check one block of raw lines parsed by numpy's C reader, as add does.
+        False, having added nothing, if numpy might read it otherwise than
+        csv.reader and float(): a quote or NUL, a line of another field count,
+        over csv's field size limit or empty (numpy skips it), or a cell numpy
+        cannot read as a float ('', '1_0', '\u0661')."""
+        text = "".join(lines)
+        if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+            return False
+        if set(map(str.count, lines, itertools.repeat(","))) != {self.width - 1}:
+            return False  # usecols would ignore an extra field
+        parse = functools.partial(np.loadtxt, lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+        try:
+            numbers = parse(dtype=float, usecols=self.number_at)
+            # object keeps each cell's text exactly, NULs and whitespace included
+            texts = parse(dtype=object, usecols=self.text_at)
+        except ValueError:
+            return False
+        if len(texts) != len(lines) or len(numbers) != len(lines):
+            return False
+        text_of, number_of = dict(zip(self.text_at, texts.T.tolist())), dict(zip(self.number_at, numbers.T))
+        self._check(
+            first, np.ones(len(lines), dtype=bool), text_of.__getitem__, number_of.__getitem__,
+            lambda k: next(csv.reader([lines[k]])),
+        )
+        return True
+
+    def _check(self, first, full_width, text_of, number_of, record) -> None:
+        """The column checks of one block, whichever reader parsed it.
+        full_width marks the block's records of the header's width; text_of(i)
+        is column i's cells of those records, and number_of(i) those cells as
+        floats, NaN where float() cannot read one. record(k) is the cells of
+        the block's k-th record."""
+        labels = _label_codes(text_of(self.label_at))
+        good = labels >= 0
+        values = []
+        for j, (_, i) in enumerate(self.measures):
+            column = number_of(i)
+            finite = np.isfinite(column)
+            self.seen_finite[j] = self.seen_finite[j] or bool(finite.any())
+            good &= finite & (column >= 0)
+            values.append(column)
+        if self.count_at is not None:
+            raw = number_of(self.count_at)
+            counts = np.round(raw) + 0.0  # + 0.0 turns -0.0 into 0.0, as int() does
+            with np.errstate(invalid="ignore"):
+                good &= np.isfinite(raw) & (raw >= 0) & (np.abs(raw - counts) <= 1e-9)
+            good &= (counts > 0) == (labels == 1)
+            self.counts.append(counts[good])
+        accepted = np.zeros(len(full_width), dtype=bool)
+        accepted[full_width] = good
+        self.rows.append(first + np.flatnonzero(accepted))
+        if self.id_at is not None:
+            self.ids.extend(map(str.strip, itertools.compress(text_of(self.id_at), good.tolist())))
+        self.labels.append(labels[good] == 1)
+        for parts, column in zip(self.columns, values):
+            parts.append(column[good])
         for k in np.flatnonzero(~accepted).tolist():
-            if _blank(block[k]):
+            row = record(k)
+            if _blank(row):
                 self.blank_rows.append(first + k)
             else:
-                self.rejections.append((first + k, self.problem(block[k])))
+                self.rejections.append((first + k, self.problem(row)))
 
     def problem(self, row: list) -> str:
         """Why a row is rejected: the first failed check, in the order field

@@ -8,14 +8,13 @@ predictions. Both yield a ScoreVector aligned to dataset order.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, csv_records
 
 SCORE_KINDS = ("probability", "defect-count-estimate", "raw")
 SCORE_MATCHES = ("id", "order")
@@ -241,7 +240,8 @@ def import_scores(path, d: Dataset, kind: str = "probability", match: str = "id"
     Probability scores must lie in [0, 1] and are nudged off the exact
     boundaries; defect-count estimates must be non-negative. A "row" in a
     message is a CSV record number, blank records counted, as in
-    load_dataset; a bad score also names its module.
+    load_dataset; a bad score also names its module, and a record csv
+    cannot read (a stray quote) names its row.
     """
     path = Path(path)
     if not path.exists():
@@ -252,7 +252,7 @@ def import_scores(path, d: Dataset, kind: str = "probability", match: str = "id"
         raise ValueError(f"kind must be one of {SCORE_KINDS}, got {kind!r}")
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = [(r, row) for r, row in enumerate(csv.reader(fh), 1) if any(c.strip() for c in row)]
+        rows = [(r, row) for r, row in csv_records(fh, path.name) if any(c.strip() for c in row)]
     known = set(d.ids)
     if rows:
         first = rows[0][1]

@@ -201,6 +201,13 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    def test_malformed_csv_is_computation_error(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text(TOY_CSV.replace("C,30", '"C,30') + "F,1,1,N\n" * 30_000)
+        code = run(["evaluate", "--data", data, "--predictors", "LOC", "--out-dir", tmp_path / "o"])
+        assert code == 1
+        assert "error: bad.csv: row 4: field larger than field limit (131072)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec, message", [
         ("composite:LOC", "bad composite driver spec 'composite:LOC'"),
         ("composite:LOC,McCC,2", "composite weight must be in [0, 1], got 2.0"),

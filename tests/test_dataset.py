@@ -308,6 +308,11 @@ class TestFatalErrors:
         with pytest.raises(ValueError, match="no data rows"):
             load_dataset(write(tmp_path / "t.csv", "LOC,Defective\n"))
 
+    def test_stray_quote_names_the_row_it_opens(self, tmp_path):
+        text = 'id,LOC,Defective\na,1,Y\n"b,2,N\n' + "".join(f"m{i},{i},N\n" for i in range(30_000))
+        with pytest.raises(ValueError, match=r"^t\.csv: row 3: field larger than field limit \(131072\)$"):
+            load_dataset(write(tmp_path / "t.csv", text))
+
 
 class TestSidecar:
     def test_sidecar_roles_override(self, tmp_path):
@@ -325,6 +330,25 @@ class TestSidecar:
         (tmp_path / "t.schema.json").write_text(json.dumps({"count": "n_bugs"}))
         d = load_dataset(tmp_path / "t.csv")
         assert tuple(d.defect_counts) == (2.0, 0.0)
+
+    def test_sidecar_measures_must_be_a_list_of_names(self, tmp_path):
+        write(tmp_path / "t.csv", BASIC)
+        for measures in ("LOC", ["LOC", 1]):
+            (tmp_path / "t.schema.json").write_text(json.dumps({"measures": measures}))
+            with pytest.raises(ValueError, match=r"t\.schema\.json: 'measures' must be a list of column names"):
+                load_dataset(tmp_path / "t.csv")
+
+    def test_sidecar_role_must_be_a_column_name(self, tmp_path):
+        write(tmp_path / "t.csv", BASIC)
+        (tmp_path / "t.schema.json").write_text(json.dumps({"label": 3}))
+        with pytest.raises(ValueError, match=r"t\.schema\.json: 'label' must be a column name, got 3"):
+            load_dataset(tmp_path / "t.csv")
+
+    def test_sidecar_unknown_key_rejected(self, tmp_path):
+        write(tmp_path / "t.csv", BASIC)
+        (tmp_path / "t.schema.json").write_text(json.dumps({"lable": "Defective"}))
+        with pytest.raises(ValueError, match=r"t\.schema\.json: unknown key 'lable'"):
+            load_dataset(tmp_path / "t.csv")
 
     def test_explicit_argument_beats_sidecar(self, tmp_path):
         write(tmp_path / "t.csv", "LOC,a,b\n10,Y,N\n")
@@ -510,6 +534,12 @@ class TestRowNumbers:
         with pytest.raises(ValueError, match=r"duplicate module id 'a' in rows 2 and 5"):
             load_dataset(path)
 
+    def test_empty_line_of_a_one_column_file_is_counted(self, tmp_path):
+        path = write(tmp_path / "t.csv", "Defective\nY\n\nN\nmaybe\n")
+        with pytest.warns(DataQualityWarning, match=r"row 5: unparseable label 'maybe'"):
+            d = load_dataset(path)
+        assert d.ids == ("1", "2") and d.labels.tolist() == [True, False]
+
     def test_default_ids_count_non_blank_records_only(self, tmp_path):
         path = write(tmp_path / "t.csv", "\nLOC,Defective\n1,Y\n \n2,N\n,\n3,N\n")
         assert load_dataset(path).ids == ("1", "2", "3")
@@ -534,27 +564,35 @@ class TestUniqueIds:
             Dataset(ids=["a", "b", "c", "b", "a"], labels=[False] * 5, measures={"LOC": [1] * 5})
 
 
-# Cells that pass their column's check, then cells that fail it.
+# Cells that pass their column's check, then cells that fail it. An id with
+# {k} in it is made fresh by putting the row's index there; the quoted ones
+# hold line breaks, so their records span lines (and blocks).
 GOOD_CELLS = {
-    "m": ["1", "0", "-0", "2.5", " 3 ", "1e3", "1_0", "7.25", '"4"'],
+    "m": ["1", "0", "-0", "2.5", " 3 ", "1e3", "1_0", "7.25", '"4"', "\u0661"],
     "label": ["Y", "n", " yes ", "TRUE", "0", "1", '"N"'],
     "count": ["0", "1", "3", "2.0", "1e0", "-0", "0.9999999999"],
-    "id": [None, None, None, "a", " a", "b"],  # None: a fresh id
+    "id": ["m{k}", "m{k}", '"m{k}\nx"', '"m{k}\r\n\ny"', "m{k}\x00", "#m{k}", "a", " a", "b"],
 }
 BAD_CELLS = {
-    "m": ["nan", "inf", "-inf", "-5", "abc", "", "  ", '"1,5"'],
-    "label": ["maybe", "", '"yes, no"'],
+    "m": ["nan", "inf", "-inf", "-5", "abc", "", "  ", '"1,5"', "#"],
+    "label": ["maybe", "", '"yes, no"', "Y\x00"],
     "count": ["1.5", "-1", "x", "", "nan"],
     "id": [],
 }
-BLANK_LINES = ["", "   ", " , ", ",,", '""']
+BLANK_LINES = ["", "   ", "\t \t", " , ", ",,", '""']
+# Cells that make a block go to csv.reader: quoted, or not read by numpy as a float.
+NOT_PLAIN = {
+    '"4"', '"N"', '"m{k}\nx"', '"m{k}\r\n\ny"', '"1,5"', '"yes, no"', "1_0", "\u0661", "", "  ", "abc", "#", "x",
+}
 
 
 @st.composite
 def csv_files(draw):
     """A random CSV dataset (text, sidecar roles, load_dataset kwargs)."""
     with_id = draw(st.booleans())
-    measures = [f"M{j}" for j in range(draw(st.integers(1, 3)))]
+    # With no measure, id or count column a line is one field, and an empty
+    # line has the header's comma count.
+    measures = [f"M{j}" for j in range(draw(st.integers(0, 3)))]
     label = draw(st.sampled_from(["Defective", "status"]))
     count = draw(st.sampled_from([None, "bugs", "defect_count", "n_bugs"]))
     roles, kwargs = {}, {}
@@ -569,6 +607,7 @@ def csv_files(draw):
     kinds = (["id"] if with_id else []) + ["m"] * len(measures) + ["label"] + (["count"] if count else [])
     header = (["id"] if with_id else []) + measures + [label] + ([count] if count else [])
 
+    plain = draw(st.booleans())  # rows mostly of cells that numpy's reader takes
     lines = [draw(st.sampled_from(BLANK_LINES)) for _ in range(draw(st.integers(0, 2)))]
     lines.append(",".join(header))
     for k in range(draw(st.integers(0, 14))):
@@ -576,15 +615,18 @@ def csv_files(draw):
             lines.append(draw(st.sampled_from(BLANK_LINES)))
             continue
         cells = GOOD_CELLS if draw(st.booleans()) else {k: GOOD_CELLS[k] + BAD_CELLS[k] for k in GOOD_CELLS}
+        if plain:
+            cells = {kind: [c for c in v if c not in NOT_PLAIN] for kind, v in cells.items()}
         row = [draw(st.sampled_from(cells[kind])) for kind in kinds]
-        row = [f"m{k}" if cell is None else cell for cell in row]
+        row = [cell.replace("{k}", str(k)) for cell in row]
         width = draw(st.sampled_from(["ok"] * 6 + ["short", "long"]))
         if width == "short":
             row = row[:-1]
         elif width == "long":
             row.append("1")
         lines.append(",".join(row))
-    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + draw(st.sampled_from(["", ending]))
     return text, roles, kwargs
 
 
@@ -619,6 +661,37 @@ class TestAgainstRowReference:
         # Blocks of 3 records put block boundaries inside runs of rejected rows.
         with mock.patch.object(dataset_module, "_BLOCK_ROWS", 3):
             assert load_outcome(load_dataset, path, **kwargs) == expected
+
+    def test_plain_file_reads_only_header_and_lead_with_csv_reader(self, tmp_path):
+        rng = np.random.default_rng(3)
+        counts = np.where(rng.random(10_000) < 0.2, rng.integers(1, 5, 10_000), 0)
+        path = tmp_path / "plain.csv"
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write("id,LOC,McCC,Defective,defect_count\n")
+            fh.writelines(
+                f"m{i}, {rng.integers(1, 900)},{rng.lognormal(1.0, 1.0):.3f},{'Y' if c else 'n'},{c}\n"
+                for i, c in enumerate(counts.tolist())
+            )
+        lines_read, csv_reader = [], csv.reader
+
+        def reader(lines):
+            return csv_reader(line for line in lines if not lines_read.append(line))
+
+        with mock.patch.object(csv, "reader", reader):
+            outcome = load_outcome(load_dataset, path)
+        assert len(lines_read) == 2  # the header and the lead record
+        assert len(outcome[0][0]) == 10_000 and outcome[1] == []
+        assert outcome == load_outcome(row_reference, path)
+
+    @pytest.mark.parametrize("last", ["c,3,N", '"c",3,N'])
+    def test_field_over_the_size_limit_fails_as_csv_reader_does(self, tmp_path, last):
+        long = "9" * (csv.field_size_limit() + 1)
+        path = write(tmp_path / "t.csv", f"id,LOC,Defective\na,1,Y\nb,{long},N\n{last}\n")
+        with path.open(newline="") as fh, pytest.raises(csv.Error) as expected:
+            list(csv.reader(fh))
+        with pytest.raises(ValueError) as got:
+            load_dataset(path)
+        assert str(got.value) == f"t.csv: row 3: {expected.value}"
 
     def test_peak_memory_is_at_most_half_the_row_reference(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -260,6 +260,12 @@ class TestImportScores:
         sv = import_scores(path, toy, kind="probability", match="id")
         assert list(sv.values) == [0.1, 0.3, 0.5, 0.7, 0.9]
 
+    def test_stray_quote_names_its_row(self, tmp_path, toy):
+        path = tmp_path / "s.csv"
+        path.write_text('id,score\nE,0.9\n"D,0.7\n' + "x,0.5\n" * 30_000)
+        with pytest.raises(ValueError, match=r"^s\.csv: row 3: field larger than field limit \(131072\)$"):
+            import_scores(path, toy, match="id")
+
     def test_order_matched_single_column(self, tmp_path, toy):
         path = tmp_path / "s.csv"
         path.write_text("0.9\n0.8\n0.6\n0.4\n0.3\n")
