@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _read_only
 from .effort import EffortDriver, cumulative_effort_fractions, cutoff_from_fractions
 from .ranking import RankedList
 
@@ -25,11 +25,11 @@ INTERPOLATIONS = ("linear", "step")
 class CostEfficiencyCurve:
     """Monotone curve from (0, 0) to (1, 1), one point per whole module.
 
-    xs and ys have length n+1 including the origin and are stored as
-    read-only float arrays. The driver name, ranking policy, and benefit
-    mode are carried along so that curves are only ever compared when they
-    actually describe the same experiment. The shape is checked here,
-    vectorised, when the curve is built, and nowhere else.
+    xs and ys have length n+1 including the origin and are stored through
+    dataset._read_only as read-only float arrays. The driver name, ranking
+    policy, and benefit mode are carried along so that curves are only ever
+    compared when they actually describe the same experiment. The shape is
+    checked here, vectorised, when the curve is built, and nowhere else.
     """
 
     xs: np.ndarray
@@ -39,20 +39,19 @@ class CostEfficiencyCurve:
     benefit: str
 
     def __post_init__(self) -> None:
-        xs = np.array(self.xs, dtype=float)
-        ys = np.array(self.ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
-            raise ValueError("curve needs matching xs/ys with at least two points")
+        xs = _read_only(self.xs, float, np.size(self.xs), "effort fractions")
+        ys = _read_only(self.ys, float, len(xs), "benefit")
+        if len(xs) < 2:
+            raise ValueError("curve needs at least two points")
         if xs[0] != 0.0 or ys[0] != 0.0:
             raise ValueError("curve must start at (0, 0)")
         if xs[-1] != 1.0 or ys[-1] != 1.0:
             raise ValueError("curve must end at (1, 1)")
-        if np.any(xs[:-1] > xs[1:]):
+        # <= is False for NaN, so a NaN point fails these checks
+        if not np.all(xs[:-1] <= xs[1:]):
             raise ValueError("effort fractions must be non-decreasing")
-        if np.any(ys[:-1] > ys[1:]):
+        if not np.all(ys[:-1] <= ys[1:]):
             raise ValueError("benefit must be non-decreasing")
-        xs.flags.writeable = False
-        ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 

@@ -56,7 +56,7 @@ class Dataset:
     the final tie-breaking key for every ranking, so it must never be
     shuffled. The constructor is the one place the columns are checked: at
     least one module, unique ids (a repeat raises DuplicateIdError), equal
-    lengths, finite non-negative measures. An array
+    lengths, finite non-negative measures and defect counts. An array
     passed in that is already read-only is shared, not copied; with_measure
     hands every existing column on to the new dataset and checks only the
     one it adds.
@@ -73,12 +73,13 @@ class Dataset:
         if n == 0:
             raise ValueError("dataset must contain at least one module")
         _check_unique(ids)
-        measures = {name: _measure_column(name, values, ids) for name, values in self.measures.items()}
+        measures = {name: _checked_column(f"measure {name!r}", values, ids)
+                    for name, values in self.measures.items()}
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "labels", _read_only(self.labels, bool, n, "labels"))
         object.__setattr__(self, "measures", MappingProxyType(measures))
         if self.defect_counts is not None:
-            counts = _read_only(self.defect_counts, float, n, "defect counts")
+            counts = _checked_column("defect count", self.defect_counts, ids)
             object.__setattr__(self, "defect_counts", counts)
 
     @property
@@ -118,7 +119,7 @@ class Dataset:
         if name in self.measures:
             raise ValueError(f"measure {name!r} already present")
         extended = copy.copy(self)
-        measures = {**self.measures, name: _measure_column(name, values, self.ids)}
+        measures = {**self.measures, name: _checked_column(f"measure {name!r}", values, self.ids)}
         object.__setattr__(extended, "measures", MappingProxyType(measures))
         return extended
 
@@ -137,16 +138,20 @@ def _check_unique(ids: tuple[str, ...]) -> None:
             raise DuplicateIdError(module_id, j, k)
 
 
-def _measure_column(name: str, values, ids: tuple[str, ...]) -> np.ndarray:
-    """One measure's read-only column, checked finite and non-negative."""
-    column = _read_only(values, float, len(ids), f"measure {name!r}")
+def _checked_column(what: str, values, ids: tuple[str, ...]) -> np.ndarray:
+    """A read-only float column (a measure or the defect counts, as what
+    names it), checked finite and non-negative."""
+    column = _read_only(values, float, len(ids), what)
     bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0)))
     if bad.size:
-        raise ValueError(f"measure {name!r} of module {ids[bad[0]]!r} must be finite and non-negative")
+        raise ValueError(f"{what} of module {ids[bad[0]]!r} must be finite and non-negative")
     return column
 
 
 def _read_only(values, dtype, n: int, what: str) -> np.ndarray:
+    """values as a read-only array of dtype and shape (n,): the one way the
+    value types store an array. A read-only array of that dtype is shared;
+    anything else is copied, so a caller's array is never frozen."""
     if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
         column = values
     else:
@@ -204,7 +209,7 @@ def _sidecar_roles(path: Path) -> dict:
         if key == "measures":
             if not (isinstance(value, list) and all(isinstance(m, str) for m in value)):
                 raise ValueError(f"{sidecar.name}: 'measures' must be a list of column names, got {value!r}")
-        elif not isinstance(value, str):
+        elif not isinstance(value, str) or not value:
             raise ValueError(f"{sidecar.name}: {key!r} must be a column name, got {value!r}")
     return roles
 
@@ -264,8 +269,10 @@ def load_dataset(
         raise FileNotFoundError(f"dataset file not found: {path}")
 
     roles = _sidecar_roles(path)
-    label_column = label_column or roles.get("label") or "Defective"
-    count_column = count_column or roles.get("count")
+    if label_column is None:
+        label_column = roles.get("label", "Defective")
+    if count_column is None:
+        count_column = roles.get("count")
     id_column = roles.get("id")
     wanted_measures = roles.get("measures")
 

@@ -18,7 +18,7 @@ from .metrics import (
     confusion_at_cutoff,
     roc_auc,
 )
-from .ranking import RankedList, checked_scores, optimal_ranking, rank
+from .ranking import RankedList, _check_tie_break, checked_scores, optimal_ranking, rank
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ def evaluate_suite(
     """Evaluate the scores under every (policy, driver) combination.
 
     budgets may be empty, in which case only curves and Popt are produced.
-    The scores are checked up front, whatever the policies: one per module,
-    none NaN. The AUC is ranking-free and reported once; it is None when
-    the dataset has a single class (both classes are required for it to
-    exist).
+    The tie_break and the scores are checked up front, whatever the
+    policies: the scores one per module, none NaN. The AUC is ranking-free
+    and reported once; it is None when the dataset has a single class (both
+    classes are required for it to exist).
 
     The optimal ranking and its curve depend only on the driver, so each is
     computed once per driver and shared by that driver's cells; the
@@ -82,6 +82,7 @@ def evaluate_suite(
     """
     drivers = tuple(drivers)
     budgets = tuple(map(check_budget, budgets))
+    _check_tie_break(tie_break)
     scores = checked_scores(scores, d)
 
     optimal: dict[EffortDriver, tuple[RankedList, CostEfficiencyCurve]] = {}

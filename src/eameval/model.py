@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, csv_records
+from .dataset import Dataset, _read_only, csv_records
 
 SCORE_KINDS = ("probability", "defect-count-estimate", "raw")
 SCORE_MATCHES = ("id", "order")
@@ -32,29 +32,29 @@ class SeparationWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class ScoreVector:
-    """Scores aligned to dataset order, tagged with their interpretation."""
+    """Scores aligned to dataset order, tagged with their interpretation.
+
+    values are stored through dataset._read_only as a read-only float array.
+    """
 
     values: np.ndarray
     kind: str = "raw"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.kind not in SCORE_KINDS:
             raise ValueError(f"kind must be one of {SCORE_KINDS}, got {self.kind!r}")
-        if self.values.ndim != 1 or len(self.values) == 0:
+        values = _read_only(self.values, float, np.size(self.values), "scores")
+        if len(values) == 0:
             raise ValueError("scores must form a non-empty vector")
         if self.kind == "probability":
-            if not np.all((self.values > 0) & (self.values < 1)):
+            if not np.all((values > 0) & (values < 1)):
                 raise ValueError("probability scores must lie strictly inside (0, 1)")
         elif self.kind == "defect-count-estimate":
-            if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
+            if not np.all(np.isfinite(values)) or np.any(values < 0):
                 raise ValueError("defect-count estimates must be finite and non-negative")
-        elif not np.all(np.isfinite(self.values)):
+        elif not np.all(np.isfinite(values)):
             raise ValueError("raw scores must be finite")
-        self.values.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.values)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)

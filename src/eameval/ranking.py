@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataQualityWarning, Dataset
+from .dataset import DataQualityWarning, Dataset, _read_only
 from .effort import EffortDriver, driver_values
 
 TIE_BREAKS = ("asc", "desc", "input")
@@ -26,10 +26,11 @@ class RankedList:
     """A permutation of module indices plus the key that produced it.
 
     order and key_values may be given as any sequences or arrays; they are
-    stored as read-only arrays (integer indices, float keys). The
-    permutation is checked here, once; the package's curve, effort and
-    metric functions read it through order_for, which checks only that
-    the ranking is one of the dataset at hand.
+    stored through dataset._read_only as read-only arrays (integer
+    indices, float keys). The permutation is checked here, once; the
+    package's curve, effort and metric functions read it through
+    order_for, which checks only that the ranking is one of the dataset
+    at hand.
     """
 
     order: np.ndarray
@@ -37,19 +38,12 @@ class RankedList:
     key_values: np.ndarray
 
     def __post_init__(self) -> None:
-        order = np.array(self.order)
-        if order.size == 0:
-            order = order.astype(np.intp)
+        order = np.asarray(self.order)
         n = len(order)
         if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"order is not a permutation of 0..{n - 1}")
-        keys = np.array(self.key_values, dtype=float)
-        if keys.shape != order.shape:
-            raise ValueError("one key value per module required")
-        order.flags.writeable = False
-        keys.flags.writeable = False
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "key_values", keys)
+        object.__setattr__(self, "order", _read_only(order, np.intp, n, "order"))
+        object.__setattr__(self, "key_values", _read_only(self.key_values, float, n, "key values"))
 
     def order_for(self, d: Dataset) -> np.ndarray:
         """The order, checked to rank exactly the modules of d."""

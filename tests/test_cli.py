@@ -201,6 +201,30 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, role", [("--label-col", "label"), ("--count-col", "count")])
+    def test_empty_column_flag_is_not_a_default(self, flag, role, toy_csv, scores_csv, tmp_path, capsys):
+        code = run([
+            "evaluate", "--data", toy_csv, "--scores", scores_csv, "--score-match", "order",
+            flag, "", "--out-dir", tmp_path / "o",
+        ])
+        assert code == 1
+        assert f"toy.csv: {role} column '' not found" in capsys.readouterr().err
+
+    def test_empty_predictor_list_is_usage_error(self, toy_csv, tmp_path, capsys):
+        code = run(["evaluate", "--data", toy_csv, "--predictors", ",", "--out-dir", tmp_path / "o"])
+        assert code == 2
+        assert "--predictors is empty" in capsys.readouterr().err
+
+    def test_empty_budget_chunk_is_skipped(self, toy_csv, scores_csv, tmp_path):
+        out = tmp_path / "o"
+        code = run([
+            "evaluate", "--data", toy_csv, "--scores", scores_csv, "--score-match", "order",
+            "--budgets", "0.2,,0.5", "--out-dir", out,
+        ])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [b["budget"] for b in report["results"][0]["budgets"]] == [0.2, 0.5]
+
     def test_malformed_csv_is_computation_error(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text(TOY_CSV.replace("C,30", '"C,30') + "F,1,1,N\n" * 30_000)

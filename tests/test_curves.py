@@ -91,6 +91,23 @@ class TestCurveConstruction:
                 driver="LOC", policy="score", benefit="modules",
             )
 
+    @pytest.mark.parametrize("xs, ys, message", [
+        ((0.0, 0.5, 1.0), (0.0, 1.0), r"expected 3 values for benefit, got shape \(2,\)"),
+        ((0.1, 0.5, 1.0), (0.0, 0.5, 1.0), r"curve must start at \(0, 0\)"),
+        ((0.0, 0.3, 0.6, 1.0), (0.0, 0.6, 0.4, 1.0), r"benefit must be non-decreasing"),
+    ])
+    def test_validation_messages(self, xs, ys, message):
+        with pytest.raises(ValueError, match=message):
+            CostEfficiencyCurve(xs=xs, ys=ys, driver="LOC", policy="score", benefit="modules")
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(ValueError, match="effort fractions must be non-decreasing"):
+            CostEfficiencyCurve(xs=(0.0, np.nan, 1.0), ys=(0.0, np.nan, 1.0),
+                                driver="LOC", policy="score", benefit="modules")
+        with pytest.raises(ValueError, match="benefit must be non-decreasing"):
+            CostEfficiencyCurve(xs=(0.0, 0.5, 1.0), ys=(0.0, np.nan, 1.0),
+                                driver="LOC", policy="score", benefit="modules")
+
     def test_no_defective_modules_rejected(self, loc_driver):
         d = build_dataset({"LOC": [5, 6]}, [False, False])
         ranking = rank_by_score(np.array([0.9, 0.1]), d)
@@ -186,6 +203,13 @@ class TestPopt:
                 popt(model, optimal, interpolation="linear"), abs=1e-12
             )
 
+    def test_curves_of_different_sizes_rejected(self, toy_curves):
+        model, _ = toy_curves
+        short = CostEfficiencyCurve(xs=(0.0, 1.0), ys=(0.0, 1.0), driver="LOC",
+                                    policy="optimal", benefit="modules")
+        with pytest.raises(ValueError, match="curves describe datasets of different sizes"):
+            popt(model, short)
+
     def test_interpolation_name_validated(self, toy_curves):
         with pytest.raises(ValueError, match="interpolation"):
             popt(*toy_curves, interpolation="spline")
@@ -234,6 +258,17 @@ class TestBenefitModes:
         ranking = rank_by_score(toy_scores, toy)
         with pytest.raises(ValueError, match="count"):
             cost_efficiency_curve(ranking, loc_driver, toy, benefit="defects")
+
+    def test_all_zero_counts_rejected(self, loc_driver):
+        d = build_dataset({"LOC": [10, 20]}, [True, False], counts=[0, 0])
+        ranking = rank_by_score(np.array([0.9, 0.1]), d)
+        with pytest.raises(ValueError, match="no defects recorded: benefit proportion is undefined"):
+            cost_efficiency_curve(ranking, loc_driver, d, benefit="defects")
+
+    def test_unknown_benefit_rejected(self, toy, toy_scores, loc_driver):
+        ranking = rank_by_score(toy_scores, toy)
+        with pytest.raises(ValueError, match=r"benefit must be one of \('modules', 'defects'\), got 'bugs'"):
+            cost_efficiency_curve(ranking, loc_driver, toy, benefit="bugs")
 
     def test_benefit_mismatch_in_popt(self, loc_driver):
         d = build_dataset(

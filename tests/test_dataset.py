@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eameval import dataset as dataset_module
+from eameval.curves import CostEfficiencyCurve
 from eameval.dataset import (
     DataQualityWarning,
     Dataset,
@@ -19,6 +20,8 @@ from eameval.dataset import (
     load_dataset,
     save_dataset,
 )
+from eameval.model import ScoreVector
+from eameval.ranking import RankedList
 
 from conftest import build_dataset, find_nasa_file, load_nasa
 
@@ -271,6 +274,15 @@ class TestFatalErrors:
         with pytest.raises(ValueError, match="Defective"):
             load_dataset(write(tmp_path / "t.csv", "LOC,target\n10,Y\n"))
 
+    @pytest.mark.parametrize("role", ["label", "count"])
+    def test_empty_column_argument_is_not_a_default(self, role, tmp_path):
+        with pytest.raises(ValueError, match=rf"t\.csv: {role} column '' not found"):
+            load_dataset(write(tmp_path / "t.csv", BASIC), **{f"{role}_column": ""})
+
+    def test_missing_count_column(self, tmp_path):
+        with pytest.raises(ValueError, match=r"t\.csv: count column 'bugs' not found"):
+            load_dataset(write(tmp_path / "t.csv", BASIC), count_column="bugs")
+
     def test_duplicate_header(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate"):
             load_dataset(write(tmp_path / "t.csv", "LOC,LOC,Defective\n10,10,Y\n"))
@@ -342,6 +354,31 @@ class TestSidecar:
         write(tmp_path / "t.csv", BASIC)
         (tmp_path / "t.schema.json").write_text(json.dumps({"label": 3}))
         with pytest.raises(ValueError, match=r"t\.schema\.json: 'label' must be a column name, got 3"):
+            load_dataset(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("key", ["label", "count", "id"])
+    def test_sidecar_role_must_not_be_empty(self, key, tmp_path):
+        write(tmp_path / "t.csv", BASIC)
+        (tmp_path / "t.schema.json").write_text(json.dumps({key: ""}))
+        with pytest.raises(ValueError, match=rf"t\.schema\.json: '{key}' must be a column name, got ''"):
+            load_dataset(tmp_path / "t.csv")
+
+    def test_sidecar_must_be_a_json_object(self, tmp_path):
+        write(tmp_path / "t.csv", BASIC)
+        (tmp_path / "t.schema.json").write_text(json.dumps(["label"]))
+        with pytest.raises(ValueError, match=r"t\.schema\.json: expected a JSON object"):
+            load_dataset(tmp_path / "t.csv")
+
+    def test_sidecar_id_column_must_be_in_header(self, tmp_path):
+        write(tmp_path / "t.csv", BASIC)
+        (tmp_path / "t.schema.json").write_text(json.dumps({"id": "module"}))
+        with pytest.raises(ValueError, match=r"t\.csv: id column 'module' not found"):
+            load_dataset(tmp_path / "t.csv")
+
+    def test_sidecar_measures_must_be_in_header(self, tmp_path):
+        write(tmp_path / "t.csv", BASIC)
+        (tmp_path / "t.schema.json").write_text(json.dumps({"measures": ["LOC", "Halstead"]}))
+        with pytest.raises(ValueError, match=r"t\.csv: sidecar measures not in header: \['Halstead'\]"):
             load_dataset(tmp_path / "t.csv")
 
     def test_sidecar_unknown_key_rejected(self, tmp_path):
@@ -497,6 +534,49 @@ class TestConstructor:
     def test_negative_or_non_finite_measure_rejected(self, bad):
         with pytest.raises(ValueError, match=r"measure 'LOC' of module 'b' must be finite and non-negative"):
             Dataset(ids=["a", "b"], labels=[True, False], measures={"LOC": [1.0, bad]})
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_defect_count_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"defect count of module 'b' must be finite and non-negative"):
+            Dataset(ids=["a", "b", "c"], labels=[False, True, True], measures={"LOC": [1.0, 2.0, 3.0]},
+                    defect_counts=[0.0, bad, 2.0])
+
+
+STORED = {
+    "Dataset.measures": lambda v: Dataset(
+        ids=list("abcd"), labels=[True] * 4, measures={"m": v}).measure_vector("m"),
+    "RankedList.order": lambda v: RankedList(
+        order=v, policy="score", key_values=[1.0] * 4).order,
+    "RankedList.key_values": lambda v: RankedList(
+        order=[0, 1, 2, 3], policy="score", key_values=v).key_values,
+    "CostEfficiencyCurve.xs": lambda v: CostEfficiencyCurve(
+        xs=v, ys=[0.0, 0.5, 0.5, 1.0], driver="m", policy="score", benefit="modules").xs,
+    "ScoreVector.values": lambda v: ScoreVector(values=v, kind="raw").values,
+}
+
+
+def stored_input(field: str, writeable: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(the array given, the array the value type stored for it)."""
+    values = np.arange(4) if field == "RankedList.order" else np.linspace(0.0, 1.0, 4)
+    values.flags.writeable = writeable
+    return values, STORED[field](values)
+
+
+class TestArrayRule:
+    """Every value type stores an array by one rule: a read-only array of
+    the field's dtype is shared, a writable one copied, and the caller's
+    array is never frozen."""
+
+    @pytest.mark.parametrize("field", sorted(STORED))
+    def test_writable_input_is_copied_and_left_writable(self, field):
+        values, stored = stored_input(field, writeable=True)
+        assert values.flags.writeable and not stored.flags.writeable
+        assert not np.shares_memory(stored, values)
+
+    @pytest.mark.parametrize("field", sorted(STORED))
+    def test_read_only_input_is_shared(self, field):
+        values, stored = stored_input(field, writeable=False)
+        assert stored is values
 
 
 class TestNasaFile:

@@ -101,6 +101,10 @@ class TestNormalizedComposite:
         assert vals[0] == 0.0
         assert vals[-1] == 1.0
 
+    def test_single_measure_driver_rejected(self):
+        with pytest.raises(ValueError, match="normalize applies to composite drivers only"):
+            EffortDriver(measures=("LOC",), normalize=True)
+
     def test_constant_measure_rejected(self):
         d = build_dataset({"A": [5, 5, 5], "B": [1, 2, 3]}, [True, False, True])
         drv = EffortDriver(measures=("A", "B"), weight=0.5, normalize=True)

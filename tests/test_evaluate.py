@@ -53,6 +53,10 @@ class TestEvaluateSuite:
         cell = report.cells[0]
         assert cell.popt == 1.0
 
+    def test_tie_break_checked_without_a_score_cell(self, toy, toy_scores, loc_driver):
+        with pytest.raises(ValueError, match=r"tie_break must be one of \('asc', 'desc', 'input'\), got 'bogus'"):
+            evaluate_suite(toy, toy_scores, [loc_driver], [], policies=("optimal",), tie_break="bogus")
+
     def test_nan_score_rejected_under_optimal_policy_alone(self, loc_driver):
         d = build_dataset({"LOC": [10, 20, 30, 40]}, [True, False, True, False], ids=list("abcd"))
         with pytest.raises(ValueError, match="NaN score for module 'b'"):

@@ -51,6 +51,8 @@ CASES = {
                                 "--benefit", "modules", "--popt-interp", "step"],
     "optimal-order-defects-linear": [*EVALUATE, *BY_ORDER, "--rank", "optimal",
                                      "--benefit", "defects", "--popt-interp", "linear"],
+    "score-fit-modules-linear": [*EVALUATE, "--predictors", "LOC,McCC", "--rank", "score",
+                                 "--benefit", "modules", "--popt-interp", "linear"],
     "compare-score-id-defects": ["compare", "--data", "proj.csv", *EFFORT, *BY_ID,
                                  "--rank", "score", "--benefit", "defects"],
     "compare-optimal-order-modules": ["compare", "--data", "proj.csv", *EFFORT, *BY_ORDER,

@@ -47,6 +47,10 @@ class TestConfusion:
         c = confusion_at_cutoff(r, toy, toy.n)
         assert (c.tp, c.fp, c.tn, c.fn) == (3, 2, 0, 0)
 
+    def test_negative_cell_rejected(self):
+        with pytest.raises(ValueError, match="confusion cells must be non-negative"):
+            ConfusionMatrix(tp=1, fp=-1, tn=2, fn=0)
+
     @pytest.mark.parametrize("cutoff", [-1, 6])
     def test_cutoff_out_of_range(self, toy, toy_scores, cutoff):
         r = rank_by_score(toy_scores, toy)

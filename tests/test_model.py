@@ -366,6 +366,26 @@ class TestImportScores:
         sv = import_scores(path, toy, kind="raw", match="order")
         assert sv.values[0] == -2.5
 
+    @pytest.mark.parametrize("option, message", [
+        ({"match": "name"}, r"match must be one of \('id', 'order'\), got 'name'"),
+        ({"kind": "logit"}, r"kind must be one of \('probability', 'defect-count-estimate', 'raw'\), got 'logit'"),
+    ])
+    def test_unknown_option_rejected(self, option, message, tmp_path, toy):
+        path = tmp_path / "s.csv"
+        path.write_text("0.9\n0.8\n0.6\n0.4\n0.3\n")
+        with pytest.raises(ValueError, match=message):
+            import_scores(path, toy, **option)
+
+    @pytest.mark.parametrize("match, text, message", [
+        ("order", "0.9\n0.8,0.1\n0.6\n0.4\n0.3\n", r"s\.csv: row 2: match='order' expects a single score column"),
+        ("id", "A,0.9\nB\nC,0.6\nD,0.4\nE,0.3\n", r"s\.csv: row 2: match='id' expects columns \(id, score\)"),
+    ])
+    def test_wrong_field_count_names_the_row(self, match, text, message, tmp_path, toy):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            import_scores(path, toy, kind="raw", match=match)
+
     def test_missing_file(self, tmp_path, toy):
         with pytest.raises(FileNotFoundError):
             import_scores(tmp_path / "nope.csv", toy)
@@ -385,6 +405,18 @@ class TestScoreVector:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ScoreVector(values=[], kind="raw")
+
+    def test_negative_count_estimate_rejected(self):
+        with pytest.raises(ValueError, match="defect-count estimates must be finite and non-negative"):
+            ScoreVector(values=[1.0, -0.5], kind="defect-count-estimate")
+
+    def test_caller_array_left_writable_and_unshared(self):
+        values = np.array([0.2, 0.5, 0.9])
+        s = ScoreVector(values=values, kind="probability")
+        assert values.flags.writeable
+        assert not np.shares_memory(values, s.values)
+        values[0] = 0.7
+        assert s.values[0] == 0.2
 
     def test_values_read_only(self, toy_scores):
         with pytest.raises(ValueError):
