@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset, _read_only
 from .effort import EffortDriver, cumulative_effort_fractions, cutoff_from_fractions
-from .ranking import RankedList
+from .ranking import RankedList, _check_choice
 
 BENEFIT_MODES = ("modules", "defects")
 INTERPOLATIONS = ("linear", "step")
@@ -57,19 +57,18 @@ class CostEfficiencyCurve:
 
 
 def _benefit_weights(d: Dataset, benefit: str) -> np.ndarray:
+    _check_choice("benefit", benefit, BENEFIT_MODES)
     if benefit == "modules":
         weights = d.labels.astype(float)
         if weights.sum() == 0:
             raise ValueError("no defective modules: benefit proportion is undefined")
         return weights
-    if benefit == "defects":
-        counts = d.defect_counts
-        if counts is None:
-            raise ValueError("benefit='defects' needs a defect count for every module")
-        if counts.sum() == 0:
-            raise ValueError("no defects recorded: benefit proportion is undefined")
-        return counts
-    raise ValueError(f"benefit must be one of {BENEFIT_MODES}, got {benefit!r}")
+    counts = d.defect_counts
+    if counts is None:
+        raise ValueError("benefit='defects' needs a defect count for every module")
+    if counts.sum() == 0:
+        raise ValueError("no defects recorded: benefit proportion is undefined")
+    return counts
 
 
 def cost_efficiency_curve(
@@ -108,14 +107,13 @@ def pofb_at(curve: CostEfficiencyCurve, budget: float) -> float:
 
 
 def _polyline_area(curve: CostEfficiencyCurve, interpolation: str) -> float:
+    _check_choice("interpolation", interpolation, INTERPOLATIONS)
     xs, ys = curve.xs, curve.ys
     widths = np.diff(xs)
     if interpolation == "linear":
         return float(np.sum(widths * (ys[1:] + ys[:-1]) / 2.0))
-    if interpolation == "step":
-        # benefit holds at the last completed module until the next one finishes
-        return float(np.sum(widths * ys[:-1]))
-    raise ValueError(f"interpolation must be one of {INTERPOLATIONS}, got {interpolation!r}")
+    # step: benefit holds at the last completed module until the next one finishes
+    return float(np.sum(widths * ys[:-1]))
 
 
 def popt(

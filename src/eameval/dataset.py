@@ -57,9 +57,9 @@ class Dataset:
     shuffled. The constructor is the one place the columns are checked: at
     least one module, unique ids (a repeat raises DuplicateIdError), equal
     lengths, finite non-negative measures and defect counts. An array
-    passed in that is already read-only is shared, not copied; with_measure
-    hands every existing column on to the new dataset and checks only the
-    one it adds.
+    passed in that is already read-only and owns its data is shared, not
+    copied; with_measure hands every existing column on to the new dataset
+    and checks only the one it adds.
     """
 
     ids: tuple[str, ...]
@@ -150,9 +150,11 @@ def _checked_column(what: str, values, ids: tuple[str, ...]) -> np.ndarray:
 
 def _read_only(values, dtype, n: int, what: str) -> np.ndarray:
     """values as a read-only array of dtype and shape (n,): the one way the
-    value types store an array. A read-only array of that dtype is shared;
-    anything else is copied, so a caller's array is never frozen."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+    value types store an array. A read-only array of that dtype that owns
+    its data is shared; anything else, a view included, is copied, so a
+    caller's array is never frozen and no other array can write to it."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and not values.flags.writeable and values.base is None):
         column = values
     else:
         column = np.array(values, dtype=dtype)

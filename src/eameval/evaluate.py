@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .curves import CostEfficiencyCurve, cost_efficiency_curve, popt
+from .curves import BENEFIT_MODES, INTERPOLATIONS, CostEfficiencyCurve, cost_efficiency_curve, popt
 from .dataset import Dataset
 from .effort import EffortDriver, check_budget, cutoff_from_fractions
 from .metrics import (
@@ -18,7 +18,7 @@ from .metrics import (
     confusion_at_cutoff,
     roc_auc,
 )
-from .ranking import RankedList, _check_tie_break, checked_scores, optimal_ranking, rank
+from .ranking import POLICIES, RankedList, _check_choice, _GridKeys, optimal_ranking
 
 
 @dataclass(frozen=True)
@@ -69,21 +69,31 @@ def evaluate_suite(
     """Evaluate the scores under every (policy, driver) combination.
 
     budgets may be empty, in which case only curves and Popt are produced.
-    The tie_break and the scores are checked up front, whatever the
-    policies: the scores one per module, none NaN. The AUC is ranking-free
-    and reported once; it is None when the dataset has a single class (both
-    classes are required for it to exist).
+    The settings are checked up front, whatever the drivers: the budgets,
+    the tie_break, each policy, the benefit, the interpolation, the norm
+    when a policy is "density", and the scores (one per module, none NaN).
+    The AUC is ranking-free and reported once; it is None when the dataset
+    has a single class (both classes are required for it to exist).
 
-    The optimal ranking and its curve depend only on the driver, so each is
-    computed once per driver and shared by that driver's cells; the
-    "optimal" policy cell reuses it as its own curve. Each budget's cutoff
-    and benefit are read off the cell curve, and its confusion matrix by
-    confusion_at_cutoff.
+    Sort keys are shared across the grid. Each policy's primary key (the
+    scores, or the densities, which no driver changes) is ranked once, and
+    each driver's tie-break positions are computed once; each score or
+    density cell is then one argsort. The optimal ranking and its curve
+    depend only on the driver, so each is computed once per driver and
+    shared by that driver's cells; the "optimal" policy cell reuses it as
+    its own curve. Each budget's cutoff and benefit are read off the cell
+    curve, and its confusion matrix by confusion_at_cutoff.
     """
     drivers = tuple(drivers)
     budgets = tuple(map(check_budget, budgets))
-    _check_tie_break(tie_break)
-    scores = checked_scores(scores, d)
+    policies = tuple(policies)
+    keys = _GridKeys(scores, d, norm, tie_break)
+    for policy in policies:
+        _check_choice("policy", policy, POLICIES)
+    _check_choice("benefit", benefit, BENEFIT_MODES)
+    _check_choice("interpolation", interpolation, INTERPOLATIONS)
+    if "density" in policies:
+        d.measure_vector(norm)
 
     optimal: dict[EffortDriver, tuple[RankedList, CostEfficiencyCurve]] = {}
 
@@ -99,7 +109,7 @@ def evaluate_suite(
             if policy == "optimal":
                 ranking, curve = optimal_for(drv)
             else:
-                ranking = rank(policy, scores, d, drv, norm=norm, tie_break=tie_break)
+                ranking = keys.rank(policy, drv)
                 curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
             optimal_curve = optimal_for(drv)[1]
             cells.append(
@@ -114,7 +124,7 @@ def evaluate_suite(
                 )
             )
 
-    auc = roc_auc(scores, d) if 0 < d.num_defective < d.n else None
+    auc = roc_auc(keys.scores, d) if 0 < d.num_defective < d.n else None
     return EvaluationReport(
         dataset_name=dataset_name,
         n=d.n,

@@ -137,11 +137,10 @@ def roc_auc(scores, d: Dataset) -> float:
     if ap == 0 or an == 0:
         raise ValueError("ROC AUC needs both defective and clean modules")
 
-    # Tied scores share the average of the 1-based ranks they span. The
-    # ranks are half-integers, so their sum is exact.
-    ordered = np.sort(values)
-    first = np.searchsorted(ordered, values, side="left")
-    past = np.searchsorted(ordered, values, side="right")
-    ranks = (first + past + 1) / 2.0
-    positive_rank_sum = float(ranks[labels].sum())
+    # Tied scores share the average of the 1-based ranks they span: a tie
+    # group ending at rank `end` with `count` members has rank
+    # end - (count - 1) / 2. The ranks are half-integers, so their sum is exact.
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ranks = np.cumsum(counts) - (counts - 1) / 2.0
+    positive_rank_sum = float(ranks[group[labels]].sum())
     return (positive_rank_sum - ap * (ap + 1) / 2.0) / (ap * an)

@@ -3,8 +3,17 @@
 All rankings break remaining ties by dataset order, so results are fully
 deterministic. Score and density rankings additionally break score ties
 using the active effort driver (ascending by default; smaller modules
-first stretches a fixed budget over more modules). Every ranking is one
-stable np.lexsort over (tie key, primary key).
+first stretches a fixed budget over more modules).
+
+Every ranking is one np.argsort of integer keys that are all distinct, so
+the fast unstable sort gives exactly the stable sorted order. A float key
+enters through its dense rank, np.unique's inverse, in which equal values
+(-0.0 and 0.0 among them) share a rank. A tie-break enters through each
+module's position in the stable ascending order of the driver values, or
+its dataset position. A score or density ranking sorts dense(-key) * n +
+tie position, an optimal ranking (not defective) * n + ascending position:
+distinct and below n**2, so exact in int64 for any n below 3e9. _GridKeys
+computes each of these parts once and shares it among a grid's rankings.
 """
 
 from __future__ import annotations
@@ -63,19 +72,85 @@ def checked_scores(scores, d: Dataset) -> np.ndarray:
     return values
 
 
-def _check_tie_break(tie_break: str) -> None:
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
+def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"{what} must be one of {choices}, got {value!r}")
 
 
-def _descending(key: np.ndarray, policy: str, d: Dataset, driver, tie_break: str) -> RankedList:
-    """Order by descending key, then by the driver tie key, then dataset order."""
-    if driver is None or tie_break == "input":
-        order = np.lexsort((-key,))
-    else:
-        tie = driver_values(driver, d)
-        order = np.lexsort((tie if tie_break == "asc" else -tie, -key))
-    return RankedList(order=order, policy=policy, key_values=key[order])
+def _dense_rank(key: np.ndarray) -> np.ndarray:
+    """Each value's rank among the key's distinct values, ascending from 0."""
+    return np.unique(key, return_inverse=True)[1]
+
+
+def _stable_positions(key: np.ndarray) -> np.ndarray:
+    """Each module's position in the stable ascending order of key."""
+    n = len(key)
+    order = np.argsort(_dense_rank(key) * n + np.arange(n))
+    positions = np.empty(n, dtype=np.intp)
+    positions[order] = np.arange(n)
+    return positions
+
+
+def _density(scores: np.ndarray, norm_measure: str, d: Dataset) -> np.ndarray:
+    """score / normalizing measure; -inf, with a warning, where the measure is zero."""
+    norm = d.measure_vector(norm_measure)
+    zero = norm == 0
+    if zero.any():
+        flagged = ", ".join(d.ids[i] for i in np.flatnonzero(zero))
+        warnings.warn(
+            f"{int(zero.sum())} module(s) with zero {norm_measure} ranked last: {flagged}",
+            DataQualityWarning,
+            stacklevel=3,
+        )
+    return np.where(zero, -np.inf, scores / np.where(zero, 1.0, norm))
+
+
+class _GridKeys:
+    """The sort keys of a grid of rankings of one score vector.
+
+    Each policy's primary key (the scores, or their densities, which no
+    driver changes) is ranked once, on its first use, and each driver's
+    tie positions are computed once; every (policy, driver) ranking is then
+    one argsort. The tie_break and the scores are checked on construction.
+    """
+
+    def __init__(self, scores, d: Dataset, norm: str, tie_break: str):
+        _check_choice("tie_break", tie_break, TIE_BREAKS)
+        self.scores = checked_scores(scores, d)
+        self.d, self.norm, self.tie_break = d, norm, tie_break
+        self._primary: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._ties: dict[EffortDriver, np.ndarray] = {}
+
+    def rank(self, policy: str, driver: EffortDriver | None) -> RankedList:
+        """The ranking a named policy gives under a driver; with no driver,
+        score ties fall straight to dataset order."""
+        _check_choice("policy", policy, POLICIES)
+        if policy == "optimal":
+            return optimal_ranking(self.d, driver)
+        if policy not in self._primary:
+            key = self.scores if policy == "score" else _density(self.scores, self.norm, self.d)
+            self._primary[policy] = key, _dense_rank(-key) * self.d.n
+        key, scaled = self._primary[policy]
+        order = np.argsort(scaled + self._tie_positions(driver))
+        return RankedList(order=order, policy=policy, key_values=key[order])
+
+    def _tie_positions(self, driver: EffortDriver | None) -> np.ndarray:
+        if driver is None or self.tie_break == "input":
+            return np.arange(self.d.n)
+        if driver not in self._ties:
+            values = driver_values(driver, self.d)
+            self._ties[driver] = _stable_positions(values if self.tie_break == "asc" else -values)
+        return self._ties[driver]
+
+
+def rank(policy: str, scores, d: Dataset, driver: EffortDriver | None,
+         norm: str = "LOC", tie_break: str = "asc") -> RankedList:
+    """The ranking a named policy gives under a driver.
+
+    The tie_break and the scores are checked whatever the policy: the
+    scores one per module, none NaN.
+    """
+    return _GridKeys(scores, d, norm, tie_break).rank(policy, driver)
 
 
 def rank_by_score(
@@ -85,9 +160,7 @@ def rank_by_score(
     tie_break: str = "asc",
 ) -> RankedList:
     """Rank modules by descending score."""
-    _check_tie_break(tie_break)
-    values = checked_scores(scores, d)
-    return _descending(values, "score", d, driver, tie_break)
+    return rank("score", scores, d, driver, tie_break=tie_break)
 
 
 def rank_by_density(
@@ -102,19 +175,7 @@ def rank_by_density(
     Modules whose normalizing measure is zero have no defined density; they
     are placed last and flagged with a warning. Their audit key is -inf.
     """
-    _check_tie_break(tie_break)
-    values = checked_scores(scores, d)
-    norm = d.measure_vector(norm_measure)
-    zero = norm == 0
-    if zero.any():
-        flagged = ", ".join(d.ids[i] for i in np.flatnonzero(zero))
-        warnings.warn(
-            f"{int(zero.sum())} module(s) with zero {norm_measure} ranked last: {flagged}",
-            DataQualityWarning,
-            stacklevel=2,
-        )
-    density = np.where(zero, -np.inf, values / np.where(zero, 1.0, norm))
-    return _descending(density, "density", d, driver, tie_break)
+    return rank("density", scores, d, driver, norm=norm_measure, tie_break=tie_break)
 
 
 def optimal_ranking(d: Dataset, driver: EffortDriver) -> RankedList:
@@ -127,17 +188,5 @@ def optimal_ranking(d: Dataset, driver: EffortDriver) -> RankedList:
     and its curve, once per driver and shares them among the grid's cells.
     """
     vals = driver_values(driver, d)
-    order = np.lexsort((vals, ~d.labels))
+    order = np.argsort((~d.labels) * d.n + _stable_positions(vals))
     return RankedList(order=order, policy="optimal", key_values=vals[order])
-
-
-def rank(policy: str, scores, d: Dataset, driver: EffortDriver,
-         norm: str = "LOC", tie_break: str = "asc") -> RankedList:
-    """The ranking a named policy gives under a driver."""
-    if policy == "score":
-        return rank_by_score(scores, d, driver=driver, tie_break=tie_break)
-    if policy == "density":
-        return rank_by_density(scores, norm, d, driver=driver, tie_break=tie_break)
-    if policy == "optimal":
-        return optimal_ranking(d, driver)
-    raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")

@@ -556,16 +556,17 @@ STORED = {
 
 
 def stored_input(field: str, writeable: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(the array given, the array the value type stored for it)."""
-    values = np.arange(4) if field == "RankedList.order" else np.linspace(0.0, 1.0, 4)
+    """(the array given, which owns its data; the array the value type
+    stored for it)."""
+    values = np.arange(4) if field == "RankedList.order" else np.array([0.0, 0.25, 0.5, 1.0])
     values.flags.writeable = writeable
     return values, STORED[field](values)
 
 
 class TestArrayRule:
     """Every value type stores an array by one rule: a read-only array of
-    the field's dtype is shared, a writable one copied, and the caller's
-    array is never frozen."""
+    the field's dtype that owns its data is shared, anything else copied,
+    and the caller's array is never frozen."""
 
     @pytest.mark.parametrize("field", sorted(STORED))
     def test_writable_input_is_copied_and_left_writable(self, field):
@@ -577,6 +578,18 @@ class TestArrayRule:
     def test_read_only_input_is_shared(self, field):
         values, stored = stored_input(field, writeable=False)
         assert stored is values
+
+    @pytest.mark.parametrize("field", sorted(STORED))
+    def test_read_only_view_is_copied(self, field):
+        # the view is read-only, but the array it views can still change
+        owner, _ = stored_input(field, writeable=True)
+        view = owner.view()
+        view.flags.writeable = False
+        stored = STORED[field](view)
+        before = stored.tolist()
+        owner[0] = 7
+        assert not np.shares_memory(stored, owner)
+        assert stored.tolist() == before and owner.flags.writeable
 
 
 class TestNasaFile:

@@ -6,7 +6,7 @@ from eameval.curves import cost_efficiency_curve, pofb_at, popt
 from eameval.effort import EffortDriver, cumulative_effort_fractions, cutoff_from_fractions
 from eameval.evaluate import evaluate_suite
 from eameval.metrics import classification_metrics, confusion_at_cutoff
-from eameval.ranking import optimal_ranking, rank
+from eameval.ranking import TIE_BREAKS, optimal_ranking, rank
 from eameval.report import report_dict
 
 from conftest import build_dataset, random_instance
@@ -87,6 +87,25 @@ class TestEvaluateSuite:
         with pytest.raises(ValueError, match="policy"):
             evaluate_suite(toy, toy_scores, [loc_driver], budgets=[], policies=("best",))
 
+    def test_settings_checked_without_a_cell(self, toy, toy_scores):
+        with pytest.raises(ValueError, match=r"policy must be one of \('score', 'density', 'optimal'\), got 'nope'"):
+            evaluate_suite(toy, toy_scores, [], [], benefit="bogus", interpolation="spline",
+                           norm="nope", policies=("nope",))
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"policies": ("score", "best")}, r"policy must be one of .*, got 'best'"),
+        ({"benefit": "bogus"}, r"benefit must be one of \('modules', 'defects'\), got 'bogus'"),
+        ({"interpolation": "spline"}, r"interpolation must be one of \('linear', 'step'\), got 'spline'"),
+        ({"norm": "nope", "policies": ("optimal", "density")}, r"unknown measure 'nope'"),
+    ], ids=["policy", "benefit", "interpolation", "norm"])
+    def test_each_setting_checked_with_no_driver(self, toy, toy_scores, settings, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_suite(toy, toy_scores, [], [], **settings)
+
+    def test_norm_left_unchecked_without_a_density_policy(self, toy, toy_scores, loc_driver):
+        report = evaluate_suite(toy, toy_scores, [loc_driver], [0.5], norm="nope")
+        assert report.config["norm"] == "nope"
+
     def test_config_echoes_inputs(self, suite):
         assert suite.config["budgets"] == [0.2, 0.5]
         assert suite.config["drivers"] == ["LOC", "McCC"]
@@ -119,30 +138,35 @@ class TestSharedWork:
             efforts, labels, scores = random_instance(rng, max_n=12)
             counts = [int(rng.integers(1, 4)) if y else 0 for y in labels]
             d = build_dataset({"m": efforts + 1.0, "e": efforts}, labels.tolist(), counts=counts)
-            drv = EffortDriver(measures=("e",))
-            report = evaluate_suite(d, scores, [drv], budgets,
-                                    policies=("score", "density", "optimal"), norm="m",
-                                    benefit=benefit, interpolation=interpolation)
-            best = cost_efficiency_curve(optimal_ranking(d, drv), drv, d, benefit=benefit)
-            for cell in report.cells:
-                ranking = rank(cell.policy, scores, d, drv, norm="m")
-                curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
-                assert cell.ranking.policy == ranking.policy
-                assert np.array_equal(cell.ranking.order, ranking.order)
-                assert np.array_equal(cell.ranking.key_values, ranking.key_values)
-                assert (cell.curve.driver, cell.curve.policy, cell.curve.benefit) == (
-                    curve.driver, curve.policy, curve.benefit
-                )
-                assert np.array_equal(cell.curve.xs, curve.xs)
-                assert np.array_equal(cell.curve.ys, curve.ys)
-                assert cell.popt == popt(curve, best, interpolation=interpolation)
-                for b, result in zip(budgets, cell.budgets):
-                    cutoff = cutoff_from_fractions(cumulative_effort_fractions(drv, ranking, d), b)
-                    assert result.cutoff == cutoff
-                    assert result.value == pofb_at(curve, b)
-                    assert result.metrics == classification_metrics(
-                        confusion_at_cutoff(ranking, d, cutoff)
+            drivers = {"e": EffortDriver(measures=("e",)), "m": EffortDriver(measures=("m",))}
+            best = {name: cost_efficiency_curve(optimal_ranking(d, drv), drv, d, benefit=benefit)
+                    for name, drv in drivers.items()}
+            for tie_break in TIE_BREAKS:
+                report = evaluate_suite(d, scores, list(drivers.values()), budgets,
+                                        policies=("score", "density", "optimal"), norm="m",
+                                        tie_break=tie_break, benefit=benefit,
+                                        interpolation=interpolation)
+                for cell in report.cells:
+                    drv = drivers[cell.driver]
+                    ranking = rank(cell.policy, scores, d, drv, norm="m", tie_break=tie_break)
+                    curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
+                    assert cell.ranking.policy == ranking.policy
+                    assert np.array_equal(cell.ranking.order, ranking.order)
+                    assert np.array_equal(cell.ranking.key_values, ranking.key_values)
+                    assert (cell.curve.driver, cell.curve.policy, cell.curve.benefit) == (
+                        curve.driver, curve.policy, curve.benefit
                     )
+                    assert np.array_equal(cell.curve.xs, curve.xs)
+                    assert np.array_equal(cell.curve.ys, curve.ys)
+                    assert cell.popt == popt(curve, best[cell.driver], interpolation=interpolation)
+                    for b, result in zip(budgets, cell.budgets):
+                        fractions = cumulative_effort_fractions(drv, ranking, d)
+                        cutoff = cutoff_from_fractions(fractions, b)
+                        assert result.cutoff == cutoff
+                        assert result.value == pofb_at(curve, b)
+                        assert result.metrics == classification_metrics(
+                            confusion_at_cutoff(ranking, d, cutoff)
+                        )
 
 
 class TestReportDict:

@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eameval.dataset import DataQualityWarning
-from eameval.effort import EffortDriver
+from eameval.effort import EffortDriver, driver_values, parse_driver
+from eameval.evaluate import evaluate_suite
 from eameval.model import ScoreVector
 from eameval.ranking import (
+    POLICIES,
     TIE_BREAKS,
     RankedList,
     optimal_ranking,
@@ -27,7 +29,7 @@ def ids_in_order(d, ranking):
 def sorted_reference(keys, tie_values, tie_break):
     """The sorted-key ordering the rankings are defined by: descending key,
     then the driver value (ascending, descending, or not at all), then
-    dataset order. The lexsort rankings must reproduce it exactly."""
+    dataset order. The rankings must reproduce it exactly."""
 
     def tie(i):
         if tie_values is None or tie_break == "input":
@@ -200,12 +202,24 @@ class TestOptimalRanking:
             assert all(not f for f in flags[first_clean:])
 
 
-class TestLexsortMatchesSortedReference:
+# Signed scores with heavy ties, -0.0 beside 0.0 (equal, so tied) and both
+# infinities; a -inf score ties with the density key of a zero-LOC module.
+SIGNED_SCORES = st.sampled_from([-math.inf, -1.0, -0.25, -0.0, 0.0, 0.25, 0.5, math.inf])
+
+
+def densities(scores, loc):
+    """The density key by its definition: -inf where the measure is zero."""
+    loc = np.asarray(loc, dtype=float)
+    zero = loc == 0
+    return np.where(zero, -np.inf, np.asarray(scores) / np.where(zero, 1.0, loc))
+
+
+class TestRankingsMatchSortedReference:
     @settings(max_examples=200, deadline=None)
     @given(
         rows=st.lists(
             st.tuples(
-                st.integers(0, 3),                    # score: heavy ties
+                SIGNED_SCORES,
                 st.sampled_from([0.0, 1.0, 2.0, 5.0]),  # LOC: ties and zeros
                 st.booleans(),
             ),
@@ -215,7 +229,7 @@ class TestLexsortMatchesSortedReference:
         with_driver=st.booleans(),
     )
     def test_score_density_and_optimal(self, rows, tie_break, with_driver):
-        scores = np.array([s / 4 for s, _, _ in rows])
+        scores = np.array([s for s, _, _ in rows])
         loc = [m for _, m, _ in rows]
         labels = [y for _, _, y in rows]
         d = build_dataset({"LOC": loc}, labels)
@@ -227,8 +241,7 @@ class TestLexsortMatchesSortedReference:
         assert r.order.tolist() == sorted_reference(scores, tie_values, tie_break)
         assert r.key_values.tolist() == [float(scores[i]) for i in r.order]
 
-        zero = np.array(loc) == 0
-        density = np.where(zero, -np.inf, scores / np.where(zero, 1.0, loc))
+        density = densities(scores, loc)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataQualityWarning)
             r = rank_by_density(scores, "LOC", d, driver=driver, tie_break=tie_break)
@@ -238,6 +251,41 @@ class TestLexsortMatchesSortedReference:
         r = optimal_ranking(d, drv)
         assert r.order.tolist() == sorted(range(d.n), key=lambda i: (not labels[i], loc[i], i))
         assert r.key_values.tolist() == [float(loc[i]) for i in r.order]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                SIGNED_SCORES,
+                st.sampled_from([0.0, 1.0, 2.0, 5.0]),  # LOC
+                st.sampled_from([1.0, 3.0, 4.0]),       # McCC
+                st.booleans(),
+            ),
+            min_size=2, max_size=25,
+        ),
+        tie_break=st.sampled_from(TIE_BREAKS),
+    )
+    def test_every_cell_of_a_three_driver_grid(self, rows, tie_break):
+        # evaluate_suite shares each policy's key and each driver's tie
+        # positions among the cells; every cell must still be its own sort
+        scores, loc, mccc, labels = (list(column) for column in zip(*rows))
+        assume(any(labels) and len(set(loc)) > 1 and len(set(mccc)) > 1)
+        d = build_dataset({"LOC": loc, "McCC": mccc}, labels)
+        drivers = [parse_driver(t) for t in ("LOC", "McCC", "composite:LOC,McCC,0.5,minmax")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DataQualityWarning)
+            report = evaluate_suite(d, np.array(scores), drivers, [0.5], policies=POLICIES,
+                                    tie_break=tie_break)
+        keys = {"score": np.array(scores), "density": densities(scores, loc)}
+        grid = [(policy, drv) for policy in POLICIES for drv in drivers]
+        assert [(c.policy, c.driver) for c in report.cells] == [(p, drv.name) for p, drv in grid]
+        for cell, (policy, drv) in zip(report.cells, grid):
+            values = driver_values(drv, d)
+            if policy == "optimal":
+                expected = sorted(range(d.n), key=lambda i: (not labels[i], values[i], i))
+            else:
+                expected = sorted_reference(keys[policy], values, tie_break)
+            assert cell.ranking.order.tolist() == expected
 
 
 class TestRankedList:
