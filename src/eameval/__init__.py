@@ -29,4 +29,4 @@ from .model import (
     log_likelihood_and_gradient,
     predict_proba,
 )
-from .ranking import RankedList, optimal_ranking, rank_by_density, rank_by_score
+from .ranking import RankedList, optimal_ranking, rank

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _read_only
+from .dataset import Dataset, _check_choice, _read_only
 from .effort import EffortDriver, cumulative_effort_fractions, cutoff_from_fractions
-from .ranking import RankedList, _check_choice
+from .ranking import RankedList
 
 BENEFIT_MODES = ("modules", "defects")
 INTERPOLATIONS = ("linear", "step")
@@ -96,14 +96,21 @@ def cost_efficiency_curve(
     )
 
 
-def pofb_at(curve: CostEfficiencyCurve, budget: float) -> float:
-    """Benefit proportion at the last whole module that fits the budget.
+def budget_reading(curve: CostEfficiencyCurve, budget: float) -> tuple[int, float]:
+    """The whole modules a budget pays for along the curve, and the benefit
+    proportion they reach.
 
-    Step semantics: analysis applies only to entire modules, so the value
-    is the y of the largest curve point whose x does not exceed the budget
-    (within the usual 1e-12 tolerance).
+    Step semantics: analysis applies only to entire modules, so the cutoff
+    is the largest count of leading modules whose x does not exceed the
+    budget (within the usual 1e-12 tolerance), and the value is its y.
     """
-    return float(curve.ys[cutoff_from_fractions(curve.xs[1:], budget)])
+    cutoff = cutoff_from_fractions(curve.xs[1:], budget)
+    return cutoff, float(curve.ys[cutoff])
+
+
+def pofb_at(curve: CostEfficiencyCurve, budget: float) -> float:
+    """PofB: the benefit proportion budget_reading gives at the budget."""
+    return budget_reading(curve, budget)[1]
 
 
 def _polyline_area(curve: CostEfficiencyCurve, interpolation: str) -> float:

@@ -164,6 +164,12 @@ def _read_only(values, dtype, n: int, what: str) -> np.ndarray:
     return column
 
 
+def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
+    """The one check of a named setting against its allowed values."""
+    if value not in choices:
+        raise ValueError(f"{what} must be one of {choices}, got {value!r}")
+
+
 def _parse_finite(cell: str) -> float | None:
     try:
         value = float(cell)

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .curves import BENEFIT_MODES, INTERPOLATIONS, CostEfficiencyCurve, cost_efficiency_curve, popt
-from .dataset import Dataset
-from .effort import EffortDriver, check_budget, cutoff_from_fractions
+from .curves import (BENEFIT_MODES, INTERPOLATIONS, CostEfficiencyCurve, budget_reading,
+                     cost_efficiency_curve, popt)
+from .dataset import Dataset, _check_choice
+from .effort import check_budget
 from .metrics import (
     ClassificationMetrics,
     classification_metrics,
     confusion_at_cutoff,
     roc_auc,
 )
-from .ranking import POLICIES, RankedList, _check_choice, _GridKeys, optimal_ranking
+from .ranking import POLICIES, RankedList, _GridKeys, optimal_ranking
 
 
 @dataclass(frozen=True)
@@ -95,23 +96,20 @@ def evaluate_suite(
     if "density" in policies:
         d.measure_vector(norm)
 
-    optimal: dict[EffortDriver, tuple[RankedList, CostEfficiencyCurve]] = {}
-
-    def optimal_for(drv: EffortDriver) -> tuple[RankedList, CostEfficiencyCurve]:
-        if drv not in optimal:
-            best = optimal_ranking(d, drv)
-            optimal[drv] = best, cost_efficiency_curve(best, drv, d, benefit=benefit)
-        return optimal[drv]
+    optimal = {}
+    for drv in drivers if policies else ():  # an empty grid builds nothing
+        best = optimal_ranking(d, drv)
+        optimal[drv] = best, cost_efficiency_curve(best, drv, d, benefit=benefit)
 
     cells = []
     for policy in policies:
         for drv in drivers:
             if policy == "optimal":
-                ranking, curve = optimal_for(drv)
+                ranking, curve = optimal[drv]
             else:
                 ranking = keys.rank(policy, drv)
                 curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
-            optimal_curve = optimal_for(drv)[1]
+            optimal_curve = optimal[drv][1]
             cells.append(
                 EvaluationCell(
                     policy=policy,
@@ -149,11 +147,11 @@ def _budget_results(ranking: RankedList, curve: CostEfficiencyCurve, d: Dataset,
                     budgets) -> tuple[BudgetResult, ...]:
     results = []
     for b in budgets:
-        cutoff = cutoff_from_fractions(curve.xs[1:], b)
+        cutoff, value = budget_reading(curve, b)
         results.append(
             BudgetResult(
                 budget=b,
-                value=float(curve.ys[cutoff]),
+                value=value,
                 cutoff=cutoff,
                 metrics=classification_metrics(confusion_at_cutoff(ranking, d, cutoff)),
             )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, _read_only, csv_records
+from .dataset import Dataset, _check_choice, _read_only, csv_records
 
 SCORE_KINDS = ("probability", "defect-count-estimate", "raw")
 SCORE_MATCHES = ("id", "order")
@@ -41,8 +41,7 @@ class ScoreVector:
     kind: str = "raw"
 
     def __post_init__(self) -> None:
-        if self.kind not in SCORE_KINDS:
-            raise ValueError(f"kind must be one of {SCORE_KINDS}, got {self.kind!r}")
+        _check_choice("kind", self.kind, SCORE_KINDS)
         values = _read_only(self.values, float, np.size(self.values), "scores")
         if len(values) == 0:
             raise ValueError("scores must form a non-empty vector")
@@ -104,12 +103,9 @@ def derive_predictor(d: Dataset, spec: str) -> Dataset:
         return d
     numerator = d.measure_vector(parts[0])
     denominator = d.measure_vector(parts[1])
-    zero_rows = np.flatnonzero(denominator == 0)
-    if zero_rows.size:
-        row = int(zero_rows[0])
-        raise ValueError(
-            f"cannot derive {spec!r}: {parts[1]} is zero in row {row} (module {d.ids[row]!r})"
-        )
+    zero = np.flatnonzero(denominator == 0)
+    if zero.size:
+        raise ValueError(f"cannot derive {spec!r}: {parts[1]} is zero for module {d.ids[zero[0]]!r}")
     return d.with_measure(spec, numerator / denominator)
 
 
@@ -246,10 +242,8 @@ def import_scores(path, d: Dataset, kind: str = "probability", match: str = "id"
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"score file not found: {path}")
-    if match not in SCORE_MATCHES:
-        raise ValueError(f"match must be one of {SCORE_MATCHES}, got {match!r}")
-    if kind not in SCORE_KINDS:
-        raise ValueError(f"kind must be one of {SCORE_KINDS}, got {kind!r}")
+    _check_choice("match", match, SCORE_MATCHES)
+    _check_choice("kind", kind, SCORE_KINDS)
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = [(r, row) for r, row in csv_records(fh, path.name) if any(c.strip() for c in row)]

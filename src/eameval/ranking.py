@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataQualityWarning, Dataset, _read_only
+from .dataset import DataQualityWarning, Dataset, _check_choice, _read_only
 from .effort import EffortDriver, driver_values
 
 TIE_BREAKS = ("asc", "desc", "input")
@@ -72,11 +72,6 @@ def checked_scores(scores, d: Dataset) -> np.ndarray:
     return values
 
 
-def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
-    if value not in choices:
-        raise ValueError(f"{what} must be one of {choices}, got {value!r}")
-
-
 def _dense_rank(key: np.ndarray) -> np.ndarray:
     """Each value's rank among the key's distinct values, ascending from 0."""
     return np.unique(key, return_inverse=True)[1]
@@ -92,7 +87,8 @@ def _stable_positions(key: np.ndarray) -> np.ndarray:
 
 
 def _density(scores: np.ndarray, norm_measure: str, d: Dataset) -> np.ndarray:
-    """score / normalizing measure; -inf, with a warning, where the measure is zero."""
+    """score / normalizing measure; -inf, with a warning, where the measure is zero.
+    Reached only via _GridKeys.rank from rank or evaluate_suite: stacklevel 4 is their caller."""
     norm = d.measure_vector(norm_measure)
     zero = norm == 0
     if zero.any():
@@ -100,7 +96,7 @@ def _density(scores: np.ndarray, norm_measure: str, d: Dataset) -> np.ndarray:
         warnings.warn(
             f"{int(zero.sum())} module(s) with zero {norm_measure} ranked last: {flagged}",
             DataQualityWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return np.where(zero, -np.inf, scores / np.where(zero, 1.0, norm))
 
@@ -147,35 +143,13 @@ def rank(policy: str, scores, d: Dataset, driver: EffortDriver | None,
          norm: str = "LOC", tie_break: str = "asc") -> RankedList:
     """The ranking a named policy gives under a driver.
 
-    The tie_break and the scores are checked whatever the policy: the
-    scores one per module, none NaN.
+    "score" ranks by descending score, "density" by descending score / norm
+    (a measure of d), "optimal" as optimal_ranking does. A module whose norm
+    is zero has no density: it is ranked last with key -inf, and a
+    DataQualityWarning names it. The tie_break and the scores (one per
+    module, none NaN) are checked whatever the policy.
     """
     return _GridKeys(scores, d, norm, tie_break).rank(policy, driver)
-
-
-def rank_by_score(
-    scores,
-    d: Dataset,
-    driver: EffortDriver | None = None,
-    tie_break: str = "asc",
-) -> RankedList:
-    """Rank modules by descending score."""
-    return rank("score", scores, d, driver, tie_break=tie_break)
-
-
-def rank_by_density(
-    scores,
-    norm_measure: str,
-    d: Dataset,
-    driver: EffortDriver | None = None,
-    tie_break: str = "asc",
-) -> RankedList:
-    """Rank modules by descending score density (score / normalizing measure).
-
-    Modules whose normalizing measure is zero have no defined density; they
-    are placed last and flagged with a warning. Their audit key is -inf.
-    """
-    return rank("density", scores, d, driver, norm=norm_measure, tie_break=tie_break)
 
 
 def optimal_ranking(d: Dataset, driver: EffortDriver) -> RankedList:

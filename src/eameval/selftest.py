@@ -15,7 +15,7 @@ from .dataset import Dataset
 from .effort import EffortDriver, cumulative_effort_fractions, cutoff_from_fractions
 from .metrics import classification_metrics, confusion_at_cutoff, roc_auc
 from .model import ScoreVector, fit_blr, log_likelihood_and_gradient, predict_proba
-from .ranking import optimal_ranking, rank_by_score
+from .ranking import optimal_ranking, rank
 
 LOC = EffortDriver(measures=("LOC",))
 MCCC = EffortDriver(measures=("McCC",))
@@ -41,7 +41,7 @@ def _expect(condition: bool, detail: str) -> None:
 
 def check_effort_fractions() -> None:
     d = toy_dataset()
-    ranking = rank_by_score(toy_scores(), d, driver=LOC)
+    ranking = rank("score", toy_scores(), d, LOC)
     got = cumulative_effort_fractions(LOC, ranking, d)
     want = [0.05, 0.15, 0.30, 0.50, 1.00]
     _expect(got.tolist() == want, f"LOC fractions {got.tolist()} != {want}")
@@ -49,7 +49,7 @@ def check_effort_fractions() -> None:
 
 def check_budget_cutoffs() -> None:
     d = toy_dataset()
-    ranking = rank_by_score(toy_scores(), d, driver=LOC)
+    ranking = rank("score", toy_scores(), d, LOC)
     ep_loc = cutoff_from_fractions(cumulative_effort_fractions(LOC, ranking, d), 0.5)
     ep_mccc = cutoff_from_fractions(cumulative_effort_fractions(MCCC, ranking, d), 0.5)
     _expect(ep_loc == 4, f"LOC cutoff at 0.5: {ep_loc} != 4")
@@ -58,12 +58,12 @@ def check_budget_cutoffs() -> None:
 
 def check_curve_points() -> None:
     d = toy_dataset()
-    ranking = rank_by_score(toy_scores(), d, driver=LOC)
+    ranking = rank("score", toy_scores(), d, LOC)
     loc = cost_efficiency_curve(ranking, LOC, d)
     loc_points = (loc.xs.tolist(), loc.ys.tolist())
     want_loc = ([0.0, 0.05, 0.15, 0.30, 0.50, 1.0], [0.0, 1 / 3, 1 / 3, 2 / 3, 2 / 3, 1.0])
     _expect(loc_points == want_loc, f"LOC curve {loc_points} != {want_loc}")
-    mccc = cost_efficiency_curve(rank_by_score(toy_scores(), d, driver=MCCC), MCCC, d)
+    mccc = cost_efficiency_curve(rank("score", toy_scores(), d, MCCC), MCCC, d)
     mccc_points = (mccc.xs.tolist(), mccc.ys.tolist())
     want_mccc = ([0.0, 0.25, 0.30, 0.75, 0.85, 1.0], [0.0, 1 / 3, 1 / 3, 2 / 3, 2 / 3, 1.0])
     _expect(mccc_points == want_mccc, f"McCC curve {mccc_points} != {want_mccc}")
@@ -71,14 +71,14 @@ def check_curve_points() -> None:
 
 def check_pofb_readings() -> None:
     d = toy_dataset()
-    curve = cost_efficiency_curve(rank_by_score(toy_scores(), d, driver=LOC), LOC, d)
+    curve = cost_efficiency_curve(rank("score", toy_scores(), d, LOC), LOC, d)
     _expect(pofb_at(curve, 0.5) == 2 / 3, f"PofB@0.5 {pofb_at(curve, 0.5)} != 2/3")
     _expect(pofb_at(curve, 0.2) == 1 / 3, f"PofB@0.2 {pofb_at(curve, 0.2)} != 1/3")
 
 
 def check_confusion() -> None:
     d = toy_dataset()
-    ranking = rank_by_score(toy_scores(), d, driver=LOC)
+    ranking = rank("score", toy_scores(), d, LOC)
     cm = confusion_at_cutoff(ranking, d, 4)
     _expect(
         (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 2, 0, 1),
@@ -101,7 +101,7 @@ def check_optimal_orders() -> None:
 def check_popt() -> None:
     # Hand trapezoid areas: optimal 0.8, score-order 2/3, so Popt = 13/15.
     d = toy_dataset()
-    ranking = rank_by_score(toy_scores(), d, driver=LOC)
+    ranking = rank("score", toy_scores(), d, LOC)
     model_curve = cost_efficiency_curve(ranking, LOC, d)
     optimal_curve = cost_efficiency_curve(optimal_ranking(d, LOC), LOC, d)
     value = popt(model_curve, optimal_curve)

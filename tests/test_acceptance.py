@@ -31,7 +31,7 @@ from eameval.model import (
     log_likelihood_and_gradient,
     predict_proba,
 )
-from eameval.ranking import RankedList, optimal_ranking, rank_by_score
+from eameval.ranking import RankedList, optimal_ranking, rank
 
 from conftest import (
     LOC_COLUMNS,
@@ -161,8 +161,8 @@ def test_criterion_3_pc3_density_ranking_spot_checks():
 def test_criterion_4_toy_instance_matches_hand_enumeration(toy, toy_scores):
     loc = EffortDriver(measures=("LOC",))
     mccc = EffortDriver(measures=("McCC",))
-    rank_loc = rank_by_score(toy_scores, toy, driver=loc)
-    rank_mccc = rank_by_score(toy_scores, toy, driver=mccc)
+    rank_loc = rank("score", toy_scores, toy, loc)
+    rank_mccc = rank("score", toy_scores, toy, mccc)
 
     fractions_loc = cumulative_effort_fractions(loc, rank_loc, toy)
     assert list(fractions_loc) == [0.05, 0.15, 0.30, 0.50, 1.00]
@@ -236,7 +236,7 @@ def test_criterion_5_optimal_ranking_dominates_exhaustively():
             )
 
         optimal_curve = cost_efficiency_curve(optimal, drv, d)
-        rankings = [rank_by_score(scores, d, driver=drv)]
+        rankings = [rank("score", scores, d, drv)]
         for _ in range(3):
             perm = tuple(int(i) for i in rng.permutation(n))
             rankings.append(RankedList(
@@ -266,8 +266,8 @@ def test_criterion_6_effort_units_cancel():
         drv_s = EffortDriver(measures=("s",))
         drv_q = EffortDriver(measures=("q",))
 
-        rank_s = rank_by_score(scores, d, driver=drv_s)
-        rank_q = rank_by_score(scores, d, driver=drv_q)
+        rank_s = rank("score", scores, d, drv_s)
+        rank_q = rank("score", scores, d, drv_q)
         assert np.array_equal(rank_s.order, rank_q.order)
 
         curve_s = cost_efficiency_curve(rank_s, drv_s, d)
@@ -294,7 +294,7 @@ def test_criterion_7_monotonicity_suite():
         efforts, labels, scores = random_instance(rng, max_n=12)
         d = build_dataset({"m": efforts}, labels.tolist())
         drv = EffortDriver(measures=("m",))
-        ranking = rank_by_score(scores, d, driver=drv)
+        ranking = rank("score", scores, d, drv)
         curve = cost_efficiency_curve(ranking, drv, d)
 
         readings = [pofb_at(curve, float(t)) for t in grid]

@@ -4,11 +4,12 @@ import pytest
 from eameval.curves import (
     CostEfficiencyCurve,
     cost_efficiency_curve,
+    budget_reading,
     pofb_at,
     popt,
 )
 from eameval.effort import EffortDriver
-from eameval.ranking import optimal_ranking, rank_by_score
+from eameval.ranking import optimal_ranking, rank
 
 from conftest import (
     build_dataset,
@@ -35,7 +36,7 @@ def popt_by_merged_grid(model, optimal):
 
 @pytest.fixture
 def toy_curves(toy, toy_scores, loc_driver):
-    ranking = rank_by_score(toy_scores, toy, driver=loc_driver)
+    ranking = rank("score", toy_scores, toy, loc_driver)
     model = cost_efficiency_curve(ranking, loc_driver, toy)
     optimal = cost_efficiency_curve(optimal_ranking(toy, loc_driver), loc_driver, toy)
     return model, optimal
@@ -65,7 +66,7 @@ class TestCurveConstruction:
         ]
 
     def test_toy_mccc_points(self, toy, toy_scores, mccc_driver):
-        ranking = rank_by_score(toy_scores, toy, driver=mccc_driver)
+        ranking = rank("score", toy_scores, toy, mccc_driver)
         curve = cost_efficiency_curve(ranking, mccc_driver, toy)
         assert curve.xs.tolist() == [0.0, 0.25, 0.30, 0.75, 0.85, 1.00]
 
@@ -110,13 +111,13 @@ class TestCurveConstruction:
 
     def test_no_defective_modules_rejected(self, loc_driver):
         d = build_dataset({"LOC": [5, 6]}, [False, False])
-        ranking = rank_by_score(np.array([0.9, 0.1]), d)
+        ranking = rank("score", np.array([0.9, 0.1]), d, None)
         with pytest.raises(ValueError, match="no defective"):
             cost_efficiency_curve(ranking, loc_driver, d)
 
     def test_single_defective_module(self, loc_driver):
         d = build_dataset({"LOC": [5]}, [True])
-        ranking = rank_by_score(np.array([0.9]), d)
+        ranking = rank("score", np.array([0.9]), d, None)
         curve = cost_efficiency_curve(ranking, loc_driver, d)
         assert (curve.xs.tolist(), curve.ys.tolist()) == ([0.0, 1.0], [0.0, 1.0])
         assert pofb_at(curve, 1.0) == 1.0
@@ -124,7 +125,7 @@ class TestCurveConstruction:
 
     def test_zero_effort_module_is_free_benefit(self, loc_driver):
         d = build_dataset({"LOC": [0, 10]}, [True, False], ids=["free", "paid"])
-        ranking = rank_by_score(np.array([0.9, 0.1]), d)
+        ranking = rank("score", np.array([0.9, 0.1]), d, None)
         curve = cost_efficiency_curve(ranking, loc_driver, d)
         assert pofb_at(curve, 0.0) == 1.0
 
@@ -154,10 +155,21 @@ class TestPofbReadings:
         readings = [pofb_at(model, b) for b in np.linspace(0, 1, 101)]
         assert all(b >= a for a, b in zip(readings, readings[1:]))
 
+    def test_budget_reading_gives_cutoff_and_value(self, toy_curves):
+        model, _ = toy_curves
+        x = model.xs[3]  # exactly where the third module ends; 1e-13 is inside BUDGET_TOL
+        for budget, cutoff in [(0.0, 0), (1.0, 5), (x, 3), (x - 1e-13, 3), (x + 1e-13, 3)]:
+            got = budget_reading(model, budget)
+            assert type(got[0]) is int and type(got[1]) is float
+            assert got == (cutoff, model.ys[cutoff])
+            assert pofb_at(model, budget) == got[1]
+
     @pytest.mark.parametrize("budget", [-0.1, 1.5])
     def test_budget_range_validated(self, toy_curves, budget):
         with pytest.raises(ValueError, match="budget"):
             pofb_at(toy_curves[0], budget)
+        with pytest.raises(ValueError, match="budget"):
+            budget_reading(toy_curves[0], budget)
 
 
 class TestPopt:
@@ -177,7 +189,7 @@ class TestPopt:
         for _ in range(50):
             driver_vals, labels, scores = random_instance(rng)
             d = build_dataset({"m": driver_vals}, labels.tolist())
-            ranking = rank_by_score(scores, d, driver=drv)
+            ranking = rank("score", scores, d, drv)
             model = cost_efficiency_curve(ranking, drv, d)
             optimal = cost_efficiency_curve(optimal_ranking(d, drv), drv, d)
             assert popt(model, optimal) == pytest.approx(
@@ -196,7 +208,7 @@ class TestPopt:
         for _ in range(30):
             driver_vals, labels, scores = random_instance(rng, allow_zero_effort=False)
             d = build_dataset({"m": driver_vals}, labels.tolist())
-            ranking = rank_by_score(scores, d, driver=drv)
+            ranking = rank("score", scores, d, drv)
             model = cost_efficiency_curve(ranking, drv, d)
             optimal = cost_efficiency_curve(optimal_ranking(d, drv), drv, d)
             assert popt(model, optimal, interpolation="step") == pytest.approx(
@@ -216,7 +228,7 @@ class TestPopt:
 
     def test_driver_mismatch_rejected(self, toy, toy_scores, loc_driver, mccc_driver):
         model = cost_efficiency_curve(
-            rank_by_score(toy_scores, toy, driver=loc_driver), loc_driver, toy
+            rank("score", toy_scores, toy, loc_driver), loc_driver, toy
         )
         wrong = cost_efficiency_curve(
             optimal_ranking(toy, mccc_driver), mccc_driver, toy
@@ -238,7 +250,7 @@ class TestBenefitModes:
             counts=[3, 0, 1, 0],
             ids=list("ABCD"),
         )
-        ranking = rank_by_score(np.array([0.9, 0.8, 0.7, 0.6]), d)
+        ranking = rank("score", np.array([0.9, 0.8, 0.7, 0.6]), d, None)
         curve = cost_efficiency_curve(ranking, loc_driver, d, benefit="defects")
         assert curve.benefit == "defects"
         assert curve.ys[1] == pytest.approx(0.75)  # 3 of 4 defects up front
@@ -249,24 +261,24 @@ class TestBenefitModes:
             [True, False, True],
             counts=[1, 0, 1],
         )
-        ranking = rank_by_score(np.array([0.9, 0.5, 0.7]), d)
+        ranking = rank("score", np.array([0.9, 0.5, 0.7]), d, None)
         by_modules = cost_efficiency_curve(ranking, loc_driver, d, benefit="modules")
         by_defects = cost_efficiency_curve(ranking, loc_driver, d, benefit="defects")
         assert np.allclose(by_modules.ys, by_defects.ys)
 
     def test_counts_required(self, toy, toy_scores, loc_driver):
-        ranking = rank_by_score(toy_scores, toy)
+        ranking = rank("score", toy_scores, toy, None)
         with pytest.raises(ValueError, match="count"):
             cost_efficiency_curve(ranking, loc_driver, toy, benefit="defects")
 
     def test_all_zero_counts_rejected(self, loc_driver):
         d = build_dataset({"LOC": [10, 20]}, [True, False], counts=[0, 0])
-        ranking = rank_by_score(np.array([0.9, 0.1]), d)
+        ranking = rank("score", np.array([0.9, 0.1]), d, None)
         with pytest.raises(ValueError, match="no defects recorded: benefit proportion is undefined"):
             cost_efficiency_curve(ranking, loc_driver, d, benefit="defects")
 
     def test_unknown_benefit_rejected(self, toy, toy_scores, loc_driver):
-        ranking = rank_by_score(toy_scores, toy)
+        ranking = rank("score", toy_scores, toy, None)
         with pytest.raises(ValueError, match=r"benefit must be one of \('modules', 'defects'\), got 'bugs'"):
             cost_efficiency_curve(ranking, loc_driver, toy, benefit="bugs")
 
@@ -274,7 +286,7 @@ class TestBenefitModes:
         d = build_dataset(
             {"LOC": [10, 20, 30]}, [True, False, True], counts=[2, 0, 1]
         )
-        ranking = rank_by_score(np.array([0.9, 0.5, 0.7]), d)
+        ranking = rank("score", np.array([0.9, 0.5, 0.7]), d, None)
         model = cost_efficiency_curve(ranking, loc_driver, d, benefit="modules")
         optimal = cost_efficiency_curve(
             optimal_ranking(d, loc_driver), loc_driver, d, benefit="defects"
@@ -294,8 +306,8 @@ class TestScaleProportionality:
                 labels.tolist(),
             )
             drv_s, drv_q = EffortDriver(measures=("s",)), EffortDriver(measures=("q",))
-            rank_s = rank_by_score(scores, d, driver=drv_s)
-            rank_q = rank_by_score(scores, d, driver=drv_q)
+            rank_s = rank("score", scores, d, drv_s)
+            rank_q = rank("score", scores, d, drv_q)
             assert np.array_equal(rank_s.order, rank_q.order)
             curve_s = cost_efficiency_curve(rank_s, drv_s, d)
             curve_q = cost_efficiency_curve(rank_q, drv_q, d)

@@ -11,7 +11,7 @@ from eameval.effort import (
     driver_values,
     parse_driver,
 )
-from eameval.ranking import RankedList, rank_by_score
+from eameval.ranking import RankedList, rank
 
 from conftest import build_dataset
 
@@ -126,7 +126,7 @@ class TestCumulativeFractions:
         assert np.all(np.diff(fr) >= 0)
 
     def test_accepts_ranked_list(self, toy, toy_scores, loc_driver):
-        ranking = rank_by_score(toy_scores, toy, driver=loc_driver)
+        ranking = rank("score", toy_scores, toy, loc_driver)
         fr = cumulative_effort_fractions(loc_driver, ranking, toy)
         assert fr[-1] == 1.0
 

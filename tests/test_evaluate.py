@@ -128,6 +128,9 @@ class TestSharedWork:
         for cell in report.cells:
             twin = next(c for c in report.cells if c.policy == "optimal" and c.driver == cell.driver)
             assert cell.optimal_curve is twin.curve
+        calls.clear()
+        assert evaluate_suite(toy, toy_scores, drivers, budgets=[0.5], policies=()).cells == ()
+        assert calls == []
 
     @pytest.mark.parametrize("benefit", ["modules", "defects"])
     @pytest.mark.parametrize("interpolation", ["linear", "step"])

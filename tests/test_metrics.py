@@ -12,7 +12,7 @@ from eameval.metrics import (
     confusion_at_cutoff,
     roc_auc,
 )
-from eameval.ranking import rank_by_score
+from eameval.ranking import rank
 
 from conftest import build_dataset
 
@@ -33,17 +33,17 @@ def auc_by_pair_enumeration(scores, labels):
 
 class TestConfusion:
     def test_toy_cutoff_four(self, toy, toy_scores):
-        r = rank_by_score(toy_scores, toy)
+        r = rank("score", toy_scores, toy, None)
         c = confusion_at_cutoff(r, toy, 4)
         assert (c.tp, c.fp, c.tn, c.fn) == (2, 2, 0, 1)
 
     def test_cutoff_zero(self, toy, toy_scores):
-        r = rank_by_score(toy_scores, toy)
+        r = rank("score", toy_scores, toy, None)
         c = confusion_at_cutoff(r, toy, 0)
         assert (c.tp, c.fp, c.tn, c.fn) == (0, 0, 2, 3)
 
     def test_cutoff_n(self, toy, toy_scores):
-        r = rank_by_score(toy_scores, toy)
+        r = rank("score", toy_scores, toy, None)
         c = confusion_at_cutoff(r, toy, toy.n)
         assert (c.tp, c.fp, c.tn, c.fn) == (3, 2, 0, 0)
 
@@ -53,14 +53,14 @@ class TestConfusion:
 
     @pytest.mark.parametrize("cutoff", [-1, 6])
     def test_cutoff_out_of_range(self, toy, toy_scores, cutoff):
-        r = rank_by_score(toy_scores, toy)
+        r = rank("score", toy_scores, toy, None)
         with pytest.raises(ValueError, match="cutoff"):
             confusion_at_cutoff(r, toy, cutoff)
 
     @pytest.mark.parametrize("cutoff", [4, 5])
     def test_ranking_of_another_dataset_rejected(self, toy, cutoff):
         small = build_dataset({"LOC": [1, 2, 3]}, [True, False, True])
-        r = rank_by_score([0.9, 0.5, 0.1], small)
+        r = rank("score", [0.9, 0.5, 0.1], small, None)
         with pytest.raises(ValueError, match=r"order is not a permutation of 0\.\.4"):
             confusion_at_cutoff(r, toy, cutoff)
 
@@ -83,14 +83,14 @@ class TestConfusion:
         scores = np.array(data.draw(st.lists(
             st.integers(0, 5), min_size=n, max_size=n)), dtype=float)
         cutoff = data.draw(st.integers(0, n))
-        c = confusion_at_cutoff(rank_by_score(scores, d), d, cutoff)
+        c = confusion_at_cutoff(rank("score", scores, d, None), d, cutoff)
         assert c.tp + c.fp == cutoff
         assert c.tp + c.fn == d.num_defective
         assert c.tn + c.fp == d.num_clean
         assert c.n == n
 
     def test_monotone_in_cutoff(self, toy, toy_scores):
-        r = rank_by_score(toy_scores, toy)
+        r = rank("score", toy_scores, toy, None)
         cells = [confusion_at_cutoff(r, toy, k) for k in range(toy.n + 1)]
         for prev, cur in zip(cells, cells[1:]):
             assert cur.tp >= prev.tp and cur.fp >= prev.fp
@@ -99,7 +99,7 @@ class TestConfusion:
 
 class TestDerivedMetrics:
     def test_toy_cutoff_four_values(self, toy, toy_scores):
-        r = rank_by_score(toy_scores, toy)
+        r = rank("score", toy_scores, toy, None)
         m = classification_metrics(confusion_at_cutoff(r, toy, 4))
         assert m.tpr == pytest.approx(2 / 3)
         assert m.ppv == pytest.approx(1 / 2)

@@ -240,7 +240,8 @@ class TestDerivePredictor:
 
     def test_zero_denominator_names_module(self):
         d = build_dataset({"McCC": [5, 1], "LOC": [10, 0]}, [True, False], ids=["p", "q"])
-        with pytest.raises(ValueError, match="q"):
+        message = r"^cannot derive 'McCC/LOC': LOC is zero for module 'q'$"
+        with pytest.raises(ValueError, match=message):
             derive_predictor(d, "McCC/LOC")
 
     @pytest.mark.parametrize("spec", ["McCC", "a/b/c", "/LOC", "McCC/"])

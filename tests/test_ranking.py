@@ -15,8 +15,7 @@ from eameval.ranking import (
     TIE_BREAKS,
     RankedList,
     optimal_ranking,
-    rank_by_density,
-    rank_by_score,
+    rank,
 )
 
 from conftest import build_dataset
@@ -41,30 +40,30 @@ def sorted_reference(keys, tie_values, tie_break):
 
 class TestScoreRanking:
     def test_toy_descending(self, toy, toy_scores):
-        r = rank_by_score(toy_scores, toy)
+        r = rank("score", toy_scores, toy, None)
         assert ids_in_order(toy, r) == ["A", "B", "C", "D", "E"]
         assert r.policy == "score"
 
     def test_key_values_track_order(self, toy, toy_scores):
-        r = rank_by_score(toy_scores, toy)
+        r = rank("score", toy_scores, toy, None)
         assert list(r.key_values) == sorted(r.key_values, reverse=True)
 
     def test_nan_score_rejected_with_module_named(self, toy):
         scores = np.array([0.9, 0.8, math.nan, 0.4, 0.3])
         with pytest.raises(ValueError, match="C"):
-            rank_by_score(scores, toy)
+            rank("score", scores, toy, None)
 
     def test_score_vector_constructor_also_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             ScoreVector(values=[0.9, math.nan], kind="raw")
 
     def test_plain_array_accepted(self, toy):
-        r = rank_by_score(np.array([0.1, 0.5, 0.2, 0.9, 0.3]), toy)
+        r = rank("score", np.array([0.1, 0.5, 0.2, 0.9, 0.3]), toy, None)
         assert ids_in_order(toy, r) == ["D", "B", "E", "C", "A"]
 
     def test_length_mismatch(self, toy):
         with pytest.raises(ValueError):
-            rank_by_score(np.array([0.1, 0.2]), toy)
+            rank("score", np.array([0.1, 0.2]), toy, None)
 
 
 class TestTieBreaking:
@@ -81,32 +80,32 @@ class TestTieBreaking:
 
     def test_asc_puts_cheaper_module_first(self, tied):
         drv = EffortDriver(measures=("LOC",))
-        r = rank_by_score(self.SCORES, tied, driver=drv, tie_break="asc")
+        r = rank("score", self.SCORES, tied, drv, tie_break="asc")
         assert ids_in_order(tied, r) == ["A", "C", "B", "D"]
 
     def test_desc_puts_costlier_module_first(self, tied):
         drv = EffortDriver(measures=("LOC",))
-        r = rank_by_score(self.SCORES, tied, driver=drv, tie_break="desc")
+        r = rank("score", self.SCORES, tied, drv, tie_break="desc")
         assert ids_in_order(tied, r) == ["A", "B", "C", "D"]
 
     def test_input_keeps_dataset_order(self, tied):
         drv = EffortDriver(measures=("LOC",))
-        r = rank_by_score(self.SCORES, tied, driver=drv, tie_break="input")
+        r = rank("score", self.SCORES, tied, drv, tie_break="input")
         assert ids_in_order(tied, r) == ["A", "B", "C", "D"]
 
     def test_no_driver_falls_back_to_dataset_order(self, tied):
-        r = rank_by_score(self.SCORES, tied, tie_break="asc")
+        r = rank("score", self.SCORES, tied, None, tie_break="asc")
         assert ids_in_order(tied, r) == ["A", "B", "C", "D"]
 
     def test_all_scores_equal_equal_driver_keeps_dataset_order(self):
         d = build_dataset({"LOC": [7, 7, 7]}, [True, False, True], ids=list("XYZ"))
         drv = EffortDriver(measures=("LOC",))
-        r = rank_by_score(np.array([0.5, 0.5, 0.5]), d, driver=drv)
+        r = rank("score", np.array([0.5, 0.5, 0.5]), d, drv)
         assert ids_in_order(d, r) == ["X", "Y", "Z"]
 
     def test_unknown_policy(self, tied):
         with pytest.raises(ValueError, match="tie_break"):
-            rank_by_score(self.SCORES, tied, tie_break="random")
+            rank("score", self.SCORES, tied, None, tie_break="random")
 
     def test_policies_registry(self):
         assert TIE_BREAKS == ("asc", "desc", "input")
@@ -127,45 +126,54 @@ class TestMonotoneTransformInvariance:
         d = build_dataset({"m": list(range(1, n + 1))}, [i % 2 == 0 for i in range(n)])
         base = np.array(raw, dtype=float)
         moved = scale * base + shift
-        a = rank_by_score(base, d)
-        b = rank_by_score(moved, d)
+        a = rank("score", base, d, None)
+        b = rank("score", moved, d, None)
         assert np.array_equal(a.order, b.order)
 
     def test_exp_transform_preserves_order(self, toy, toy_scores):
-        a = rank_by_score(toy_scores, toy)
-        b = rank_by_score(np.exp(np.asarray(toy_scores.values)), toy)
+        a = rank("score", toy_scores, toy, None)
+        b = rank("score", np.exp(np.asarray(toy_scores.values)), toy, None)
         assert np.array_equal(a.order, b.order)
 
 
 class TestDensityRanking:
     def test_density_reorders_by_score_per_effort(self):
         d = build_dataset({"LOC": [100, 10]}, [True, True], ids=["big", "small"])
-        r = rank_by_density(np.array([0.9, 0.8]), "LOC", d)
+        r = rank("density", np.array([0.9, 0.8]), d, None, norm="LOC")
         assert ids_in_order(d, r) == ["small", "big"]
         assert r.policy == "density"
 
     def test_constant_norm_matches_score_ranking(self, toy, toy_scores):
         d = toy.with_measure("unit", np.ones(toy.n))
-        by_density = rank_by_density(toy_scores, "unit", d)
-        by_score = rank_by_score(toy_scores, d)
+        by_density = rank("density", toy_scores, d, None, norm="unit")
+        by_score = rank("score", toy_scores, d, None)
         assert np.array_equal(by_density.order, by_score.order)
 
     def test_zero_measure_modules_go_last_with_warning(self):
         d = build_dataset({"LOC": [0, 10, 20]}, [True, False, True], ids=list("ABC"))
         with pytest.warns(DataQualityWarning, match="A"):
-            r = rank_by_density(np.array([0.99, 0.5, 0.4]), "LOC", d)
+            r = rank("density", np.array([0.99, 0.5, 0.4]), d, None, norm="LOC")
         assert ids_in_order(d, r)[-1] == "A"
         assert r.key_values[-1] == -math.inf
 
     def test_multiple_zero_measure_modules_keep_dataset_order(self):
         d = build_dataset({"LOC": [0, 10, 0]}, [True, False, True], ids=list("ABC"))
         with pytest.warns(DataQualityWarning):
-            r = rank_by_density(np.array([0.9, 0.5, 0.8]), "LOC", d)
+            r = rank("density", np.array([0.9, 0.5, 0.8]), d, None, norm="LOC")
         assert ids_in_order(d, r) == ["B", "A", "C"]
+
+    def test_zero_measure_warning_points_at_the_caller(self):
+        d = build_dataset({"LOC": [0, 10, 20]}, [True, False, True], ids=list("ABC"))
+        scores, drv = np.array([0.99, 0.5, 0.4]), EffortDriver(measures=("LOC",))
+        with pytest.warns(DataQualityWarning) as by_rank:
+            rank("density", scores, d, drv)
+        with pytest.warns(DataQualityWarning) as by_suite:
+            evaluate_suite(d, scores, [drv], [], policies=("density",))
+        assert [w.filename for w in (*by_rank, *by_suite)] == [__file__, __file__]
 
     def test_unknown_norm_measure(self, toy, toy_scores):
         with pytest.raises(ValueError, match="unknown measure"):
-            rank_by_density(toy_scores, "volume", toy)
+            rank("density", toy_scores, toy, None, norm="volume")
 
 
 class TestOptimalRanking:
@@ -237,14 +245,14 @@ class TestRankingsMatchSortedReference:
         tie_values = np.array(loc) if with_driver else None
         driver = drv if with_driver else None
 
-        r = rank_by_score(scores, d, driver=driver, tie_break=tie_break)
+        r = rank("score", scores, d, driver, tie_break=tie_break)
         assert r.order.tolist() == sorted_reference(scores, tie_values, tie_break)
         assert r.key_values.tolist() == [float(scores[i]) for i in r.order]
 
         density = densities(scores, loc)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataQualityWarning)
-            r = rank_by_density(scores, "LOC", d, driver=driver, tie_break=tie_break)
+            r = rank("density", scores, d, driver, norm="LOC", tie_break=tie_break)
         assert r.order.tolist() == sorted_reference(density, tie_values, tie_break)
         assert r.key_values.tolist() == [float(density[i]) for i in r.order]
 
@@ -316,6 +324,6 @@ class TestRankedList:
             RankedList(order=(0, 1), policy="score", key_values=(1.0,))
 
     def test_iterable_protocol(self, toy, toy_scores):
-        r = rank_by_score(toy_scores, toy)
+        r = rank("score", toy_scores, toy, None)
         assert len(r.order) == toy.n
         assert sorted(r.order) == list(range(toy.n))
