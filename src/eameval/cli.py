@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .curves import BENEFIT_MODES, INTERPOLATIONS
 from .dataset import load_dataset
-from .effort import check_budget, parse_driver
+from .effort import budget_label, check_budget, check_distinct, parse_driver
 from .evaluate import evaluate_suite
 from .model import (
     SCORE_KINDS,
@@ -30,7 +30,6 @@ from .model import (
 )
 from .ranking import POLICIES, TIE_BREAKS
 from .report import (
-    budget_label,
     report_dict,
     write_compare_csv,
     write_curve_csv,
@@ -104,34 +103,30 @@ def _parse_budgets(text: str) -> list[float]:
         if not chunk:
             continue
         try:
-            value = float(chunk)
+            budgets.append(float(chunk))
         except ValueError:
             raise UsageError(f"bad budget {chunk!r}") from None
-        try:
-            value = check_budget(value)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if budget_label(value) in map(budget_label, budgets):
-            raise UsageError(f"budget {budget_label(value)} given twice")
-        budgets.append(value)
+    try:
+        budgets = [check_budget(b) for b in budgets]
+        check_distinct("budget", map(budget_label, budgets))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return budgets
 
 
 def _parse_drivers(args) -> list:
     """The --effort drivers, each parsed, none repeated, no two slugged alike."""
-    drivers = []
-    for text in args.effort or ["LOC"]:
-        try:
-            drv = parse_driver(text)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        for seen in drivers:
-            if drv.name == seen.name:
-                raise UsageError(f"effort driver {drv.name!r} given twice")
-            if _slug(drv.name) == _slug(seen.name):
-                raise UsageError(f"effort drivers {seen.name!r} and {drv.name!r} "
-                                 f"share the slug {_slug(drv.name)!r}")
-        drivers.append(drv)
+    try:
+        drivers = [parse_driver(text) for text in args.effort or ["LOC"]]
+        check_distinct("effort driver", (repr(drv.name) for drv in drivers))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    slugged = {}
+    for drv in drivers:
+        seen = slugged.setdefault(_slug(drv.name), drv)
+        if seen is not drv:
+            raise UsageError(f"effort drivers {seen.name!r} and {drv.name!r} "
+                             f"share the slug {_slug(drv.name)!r}")
     return drivers
 
 

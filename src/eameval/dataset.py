@@ -9,6 +9,7 @@ still loads.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import functools
@@ -208,7 +209,10 @@ def _sidecar_roles(path: Path) -> dict:
     sidecar = path.with_suffix(".schema.json")
     if not sidecar.exists():
         return {}
-    roles = json.loads(sidecar.read_text(encoding="utf-8"))
+    try:
+        roles = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as err:  # bytes that are not UTF-8, or text that is not JSON
+        raise ValueError(f"{sidecar.name}: {err}") from None
     if not isinstance(roles, dict):
         raise ValueError(f"{sidecar.name}: expected a JSON object")
     for key, value in roles.items():
@@ -220,6 +224,17 @@ def _sidecar_roles(path: Path) -> dict:
         elif not isinstance(value, str) or not value:
             raise ValueError(f"{sidecar.name}: {key!r} must be a column name, got {value!r}")
     return roles
+
+
+@contextlib.contextmanager
+def open_csv(path: Path):
+    """path opened as CSV text; a byte that is not UTF-8, wherever the
+    reading meets it, is a ValueError naming the file."""
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path.name}: {err}") from None
 
 
 def csv_records(lines, name: str, first: int = 1, stop: int | None = None):
@@ -284,7 +299,7 @@ def load_dataset(
     id_column = roles.get("id")
     wanted_measures = roles.get("measures")
 
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with open_csv(path) as fh:
         records = csv_records(fh, path.name)
         for header_row, row in records:
             if not _blank(row):

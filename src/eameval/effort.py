@@ -123,6 +123,20 @@ def check_budget(budget) -> float:
     return budget
 
 
+def budget_label(budget: float) -> str:
+    """A budget as reports name it: six significant digits."""
+    return f"{budget:g}"
+
+
+def check_distinct(what: str, labels) -> None:
+    """Reject the first label that repeats, as "<what> <label> given twice"."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ValueError(f"{what} {label} given twice")
+        seen.add(label)
+
+
 def cutoff_from_fractions(fractions: np.ndarray, budget: float) -> int:
     """Largest count of leading whole modules whose fraction fits the budget."""
     return int(np.searchsorted(fractions, check_budget(budget) + BUDGET_TOL, side="right"))

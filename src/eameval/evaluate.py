@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 from .curves import (BENEFIT_MODES, INTERPOLATIONS, CostEfficiencyCurve, budget_reading,
                      cost_efficiency_curve, popt)
 from .dataset import Dataset, _check_choice
-from .effort import check_budget
+from .effort import budget_label, check_budget, check_distinct
 from .metrics import (
     ClassificationMetrics,
     classification_metrics,
     confusion_at_cutoff,
     roc_auc,
 )
-from .ranking import POLICIES, RankedList, _GridKeys, optimal_ranking
+from .ranking import POLICIES, RankedList, _GridKeys
 
 
 @dataclass(frozen=True)
@@ -70,25 +70,27 @@ def evaluate_suite(
     """Evaluate the scores under every (policy, driver) combination.
 
     budgets may be empty, in which case only curves and Popt are produced.
-    The settings are checked up front, whatever the drivers: the budgets,
-    the tie_break, each policy, the benefit, the interpolation, the norm
-    when a policy is "density", and the scores (one per module, none NaN).
-    The AUC is ranking-free and reported once; it is None when the dataset
-    has a single class (both classes are required for it to exist).
+    The settings are checked up front, whatever the drivers: the budgets
+    (none given twice), the drivers (none named twice), the tie_break, each
+    policy, the benefit, the interpolation, the norm when a policy is
+    "density", and the scores (one per module, none NaN). The AUC is
+    ranking-free and reported once; it is None when the dataset has a
+    single class (both classes are required for it to exist).
 
-    Sort keys are shared across the grid. Each policy's primary key (the
-    scores, or the densities, which no driver changes) is ranked once, and
-    each driver's tie-break positions are computed once; each score or
-    density cell is then one argsort. The optimal ranking and its curve
-    depend only on the driver, so each is computed once per driver and
-    shared by that driver's cells; the "optimal" policy cell reuses it as
-    its own curve. Each budget's cutoff and benefit are read off the cell
-    curve, and its confusion matrix by confusion_at_cutoff.
+    Every ranking comes from one ranking._GridKeys, which builds each
+    policy's primary key once and each driver's tie positions once per
+    direction (under "asc" all three policies share them). The optimal
+    ranking and its curve are built once per driver and shared by that
+    driver's cells, the "optimal" cell among them. Each budget's cutoff and
+    benefit are read off the cell curve, and its confusion matrix by
+    confusion_at_cutoff.
     """
     drivers = tuple(drivers)
     budgets = tuple(map(check_budget, budgets))
+    check_distinct("budget", map(budget_label, budgets))
+    check_distinct("effort driver", (repr(drv.name) for drv in drivers))
     policies = tuple(policies)
-    keys = _GridKeys(scores, d, norm, tie_break)
+    keys = _GridKeys(d, scores, norm, tie_break)
     for policy in policies:
         _check_choice("policy", policy, POLICIES)
     _check_choice("benefit", benefit, BENEFIT_MODES)
@@ -98,7 +100,7 @@ def evaluate_suite(
 
     optimal = {}
     for drv in drivers if policies else ():  # an empty grid builds nothing
-        best = optimal_ranking(d, drv)
+        best = keys.rank("optimal", drv)
         optimal[drv] = best, cost_efficiency_curve(best, drv, d, benefit=benefit)
 
     cells = []

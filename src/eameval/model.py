@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, _check_choice, _read_only, csv_records
+from .dataset import Dataset, _check_choice, _read_only, csv_records, open_csv
 
 SCORE_KINDS = ("probability", "defect-count-estimate", "raw")
 SCORE_MATCHES = ("id", "order")
@@ -245,7 +245,7 @@ def import_scores(path, d: Dataset, kind: str = "probability", match: str = "id"
     _check_choice("match", match, SCORE_MATCHES)
     _check_choice("kind", kind, SCORE_KINDS)
 
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with open_csv(path) as fh:
         rows = [(r, row) for r, row in csv_records(fh, path.name) if any(c.strip() for c in row)]
     known = set(d.ids)
     if rows:

@@ -1,19 +1,19 @@
 """Module orderings: score-descending, density-normalized, and optimal.
 
 All rankings break remaining ties by dataset order, so results are fully
-deterministic. Score and density rankings additionally break score ties
-using the active effort driver (ascending by default; smaller modules
-first stretches a fixed budget over more modules).
+deterministic. Score and density rankings first break score ties by the
+active effort driver (ascending by default; smaller modules first
+stretches a fixed budget over more modules), the optimal ranking always
+by ascending driver value.
 
-Every ranking is one np.argsort of integer keys that are all distinct, so
-the fast unstable sort gives exactly the stable sorted order. A float key
-enters through its dense rank, np.unique's inverse, in which equal values
-(-0.0 and 0.0 among them) share a rank. A tie-break enters through each
-module's position in the stable ascending order of the driver values, or
-its dataset position. A score or density ranking sorts dense(-key) * n +
-tie position, an optimal ranking (not defective) * n + ascending position:
-distinct and below n**2, so exact in int64 for any n below 3e9. _GridKeys
-computes each of these parts once and shares it among a grid's rankings.
+Every ranking is one np.argsort of the distinct integer keys primary * n +
+tie position, so the fast unstable sort gives the stable sorted order. A
+score or density primary is the dense rank (np.unique's inverse; -0.0 and
+0.0 share a rank) of the negated key, the optimal one is 0 for defective
+modules and 1 for clean ones. A tie position is a module's place in the
+stable ascending (or descending) order of the driver values, or its
+dataset position. Keys stay below n**2, exact in int64 for n below 3e9.
+_GridKeys builds every ranking, each primary and tie position once.
 """
 
 from __future__ import annotations
@@ -32,19 +32,17 @@ POLICIES = ("score", "density", "optimal")
 
 @dataclass(frozen=True, eq=False)
 class RankedList:
-    """A permutation of module indices plus the key that produced it.
+    """A permutation of module indices and the policy that produced it.
 
-    order and key_values may be given as any sequences or arrays; they are
-    stored through dataset._read_only as read-only arrays (integer
-    indices, float keys). The permutation is checked here, once; the
-    package's curve, effort and metric functions read it through
-    order_for, which checks only that the ranking is one of the dataset
-    at hand.
+    order may be given as any sequence or array of integers; it is stored
+    through dataset._read_only as a read-only index array. The permutation
+    is checked here, once; the package's curve, effort and metric
+    functions read it through order_for, which checks only that the
+    ranking is one of the dataset at hand.
     """
 
     order: np.ndarray
     policy: str
-    key_values: np.ndarray
 
     def __post_init__(self) -> None:
         order = np.asarray(self.order)
@@ -52,7 +50,6 @@ class RankedList:
         if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"order is not a permutation of 0..{n - 1}")
         object.__setattr__(self, "order", _read_only(order, np.intp, n, "order"))
-        object.__setattr__(self, "key_values", _read_only(self.key_values, float, n, "key values"))
 
     def order_for(self, d: Dataset) -> np.ndarray:
         """The order, checked to rank exactly the modules of d."""
@@ -102,41 +99,44 @@ def _density(scores: np.ndarray, norm_measure: str, d: Dataset) -> np.ndarray:
 
 
 class _GridKeys:
-    """The sort keys of a grid of rankings of one score vector.
+    """The sort keys of a grid of rankings of one dataset.
 
-    Each policy's primary key (the scores, or their densities, which no
-    driver changes) is ranked once, on its first use, and each driver's
-    tie positions are computed once; every (policy, driver) ranking is then
-    one argsort. The tie_break and the scores are checked on construction.
+    Each policy's primary key (the scores, their densities or the labels,
+    which no driver changes) is built on its first use, and each driver's
+    tie positions once per direction; every (policy, driver) ranking is then
+    one argsort. Only "score" and "density" need the scores; given, they
+    are checked on construction, as is the tie_break.
     """
 
-    def __init__(self, scores, d: Dataset, norm: str, tie_break: str):
+    def __init__(self, d: Dataset, scores=None, norm: str = "LOC", tie_break: str = "asc"):
         _check_choice("tie_break", tie_break, TIE_BREAKS)
-        self.scores = checked_scores(scores, d)
+        self.scores = None if scores is None else checked_scores(scores, d)
         self.d, self.norm, self.tie_break = d, norm, tie_break
-        self._primary: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._ties: dict[EffortDriver, np.ndarray] = {}
+        self._primary: dict[str, np.ndarray] = {}
+        self._ties: dict[tuple[EffortDriver, str], np.ndarray] = {}
 
     def rank(self, policy: str, driver: EffortDriver | None) -> RankedList:
         """The ranking a named policy gives under a driver; with no driver,
-        score ties fall straight to dataset order."""
+        ties fall straight to dataset order."""
         _check_choice("policy", policy, POLICIES)
-        if policy == "optimal":
-            return optimal_ranking(self.d, driver)
         if policy not in self._primary:
-            key = self.scores if policy == "score" else _density(self.scores, self.norm, self.d)
-            self._primary[policy] = key, _dense_rank(-key) * self.d.n
-        key, scaled = self._primary[policy]
-        order = np.argsort(scaled + self._tie_positions(driver))
-        return RankedList(order=order, policy=policy, key_values=key[order])
+            if policy == "optimal":
+                key = (~self.d.labels) * self.d.n
+            else:
+                scores = self.scores if policy == "score" else _density(self.scores, self.norm, self.d)
+                key = _dense_rank(-scores) * self.d.n
+            self._primary[policy] = key
+        tie_break = "asc" if policy == "optimal" else self.tie_break
+        order = np.argsort(self._primary[policy] + self._tie_positions(driver, tie_break))
+        return RankedList(order=order, policy=policy)
 
-    def _tie_positions(self, driver: EffortDriver | None) -> np.ndarray:
-        if driver is None or self.tie_break == "input":
+    def _tie_positions(self, driver: EffortDriver | None, tie_break: str) -> np.ndarray:
+        if driver is None or tie_break == "input":
             return np.arange(self.d.n)
-        if driver not in self._ties:
+        if (driver, tie_break) not in self._ties:
             values = driver_values(driver, self.d)
-            self._ties[driver] = _stable_positions(values if self.tie_break == "asc" else -values)
-        return self._ties[driver]
+            self._ties[driver, tie_break] = _stable_positions(values if tie_break == "asc" else -values)
+        return self._ties[driver, tie_break]
 
 
 def rank(policy: str, scores, d: Dataset, driver: EffortDriver | None,
@@ -144,23 +144,22 @@ def rank(policy: str, scores, d: Dataset, driver: EffortDriver | None,
     """The ranking a named policy gives under a driver.
 
     "score" ranks by descending score, "density" by descending score / norm
-    (a measure of d), "optimal" as optimal_ranking does. A module whose norm
-    is zero has no density: it is ranked last with key -inf, and a
-    DataQualityWarning names it. The tie_break and the scores (one per
-    module, none NaN) are checked whatever the policy.
+    (a measure of d), "optimal" as optimal_ranking does, whatever the
+    tie_break. A module whose norm is zero has no density: it is ranked
+    last, and a DataQualityWarning names it. The tie_break and the scores
+    (one per module, none NaN) are checked whatever the policy.
     """
-    return _GridKeys(scores, d, norm, tie_break).rank(policy, driver)
+    return _GridKeys(d, scores, norm, tie_break).rank(policy, driver)
 
 
-def optimal_ranking(d: Dataset, driver: EffortDriver) -> RankedList:
+def optimal_ranking(d: Dataset, driver: EffortDriver | None) -> RankedList:
     """The best achievable ordering under a driver.
 
     Defective modules first in ascending driver value, then the clean ones
-    in ascending driver value; ties by dataset order. No other ordering
-    finds more defective modules within the effort of any of its prefixes.
-    It depends only on the dataset and the driver: evaluate_suite builds it,
-    and its curve, once per driver and shares them among the grid's cells.
+    in ascending driver value; ties by dataset order. With no driver, each
+    group keeps dataset order. No other ordering finds more defective
+    modules within the effort of any of its prefixes. It is the "optimal"
+    policy of _GridKeys, so evaluate_suite builds it, and its curve, once
+    per driver from the grid's shared keys.
     """
-    vals = driver_values(driver, d)
-    order = np.argsort((~d.labels) * d.n + _stable_positions(vals))
-    return RankedList(order=order, policy="optimal", key_values=vals[order])
+    return _GridKeys(d).rank("optimal", driver)

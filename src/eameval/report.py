@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .curves import CostEfficiencyCurve
+from .effort import budget_label
 from .evaluate import EvaluationReport
 
 
@@ -32,10 +33,6 @@ def _rounded(obj):
     if isinstance(obj, (list, tuple)):
         return [_rounded(v) for v in obj]
     return _sig6(obj)
-
-
-def budget_label(budget: float) -> str:
-    return f"{budget:g}"
 
 
 def report_dict(

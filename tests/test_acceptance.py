@@ -239,10 +239,7 @@ def test_criterion_5_optimal_ranking_dominates_exhaustively():
         rankings = [rank("score", scores, d, drv)]
         for _ in range(3):
             perm = tuple(int(i) for i in rng.permutation(n))
-            rankings.append(RankedList(
-                order=perm, policy="score",
-                key_values=tuple(float(n - i) for i in range(n)),
-            ))
+            rankings.append(RankedList(order=perm, policy="score"))
         for ranking in rankings:
             curve = cost_efficiency_curve(ranking, drv, d)
             value = popt(curve, optimal_curve)

@@ -232,6 +232,22 @@ class TestExitCodes:
         assert code == 1
         assert "error: bad.csv: row 4: field larger than field limit (131072)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, content, message", [
+        ("toy.csv", TOY_CSV.encode().replace(b"N\n", b"\xff\n", 1),
+         "toy.csv: 'utf-8' codec can't decode byte 0xff in position 38: invalid start byte"),
+        ("scores.csv", b"0.9\n0.8\n\xff\n0.4\n0.3\n",
+         "scores.csv: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+        ("toy.schema.json", b'{"label": "Defective",}',
+         "toy.schema.json: Expecting property name enclosed in double quotes: line 1 column 23 (char 22)"),
+    ], ids=["data", "scores", "sidecar"])
+    def test_unreadable_file_is_named(self, name, content, message, toy_csv, scores_csv,
+                                      tmp_path, capsys):
+        (tmp_path / name).write_bytes(content)
+        code = run(["evaluate", "--data", toy_csv, "--scores", scores_csv, "--score-match", "order",
+                    "--out-dir", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("spec, message", [
         ("composite:LOC", "bad composite driver spec 'composite:LOC'"),
         ("composite:LOC,McCC,2", "composite weight must be in [0, 1], got 2.0"),

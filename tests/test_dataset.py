@@ -25,6 +25,8 @@ from eameval.ranking import RankedList
 
 from conftest import build_dataset, find_nasa_file, load_nasa
 
+NOT_UTF8 = r"'utf-8' codec can't decode byte 0xff in position \d+: invalid start byte$"
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -320,6 +322,12 @@ class TestFatalErrors:
         with pytest.raises(ValueError, match="no data rows"):
             load_dataset(write(tmp_path / "t.csv", "LOC,Defective\n"))
 
+    def test_byte_that_is_not_utf8_in_a_later_block_names_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"LOC,Defective\n" + b"10,Y\n" * 10_000 + b"20,\xff\n")
+        with pytest.raises(ValueError, match=r"^t\.csv: " + NOT_UTF8):
+            load_dataset(path)
+
     def test_stray_quote_names_the_row_it_opens(self, tmp_path):
         text = 'id,LOC,Defective\na,1,Y\n"b,2,N\n' + "".join(f"m{i},{i},N\n" for i in range(30_000))
         with pytest.raises(ValueError, match=r"^t\.csv: row 3: field larger than field limit \(131072\)$"):
@@ -385,6 +393,12 @@ class TestSidecar:
         write(tmp_path / "t.csv", BASIC)
         (tmp_path / "t.schema.json").write_text(json.dumps({"lable": "Defective"}))
         with pytest.raises(ValueError, match=r"t\.schema\.json: unknown key 'lable'"):
+            load_dataset(tmp_path / "t.csv")
+
+    def test_sidecar_that_is_not_utf8_named(self, tmp_path):
+        write(tmp_path / "t.csv", BASIC)
+        (tmp_path / "t.schema.json").write_bytes(b'{"label": "\xff"}')
+        with pytest.raises(ValueError, match=r"^t\.schema\.json: " + NOT_UTF8):
             load_dataset(tmp_path / "t.csv")
 
     def test_explicit_argument_beats_sidecar(self, tmp_path):
@@ -545,10 +559,7 @@ class TestConstructor:
 STORED = {
     "Dataset.measures": lambda v: Dataset(
         ids=list("abcd"), labels=[True] * 4, measures={"m": v}).measure_vector("m"),
-    "RankedList.order": lambda v: RankedList(
-        order=v, policy="score", key_values=[1.0] * 4).order,
-    "RankedList.key_values": lambda v: RankedList(
-        order=[0, 1, 2, 3], policy="score", key_values=v).key_values,
+    "RankedList.order": lambda v: RankedList(order=v, policy="score").order,
     "CostEfficiencyCurve.xs": lambda v: CostEfficiencyCurve(
         xs=v, ys=[0.0, 0.5, 0.5, 1.0], driver="m", policy="score", benefit="modules").xs,
     "ScoreVector.values": lambda v: ScoreVector(values=v, kind="raw").values,

@@ -17,7 +17,7 @@ from conftest import build_dataset
 
 
 def as_ranking(order):
-    return RankedList(order=order, policy="score", key_values=[0.0] * len(order))
+    return RankedList(order=order, policy="score")
 
 
 IDENTITY = as_ranking(range(5))

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-import eameval.evaluate as evaluate_module
+import eameval.ranking as ranking_module
 from eameval.curves import cost_efficiency_curve, pofb_at, popt
-from eameval.effort import EffortDriver, cumulative_effort_fractions, cutoff_from_fractions
+from eameval.effort import (EffortDriver, cumulative_effort_fractions, cutoff_from_fractions,
+                            driver_values)
 from eameval.evaluate import evaluate_suite
 from eameval.metrics import classification_metrics, confusion_at_cutoff
 from eameval.ranking import TIE_BREAKS, optimal_ranking, rank
@@ -83,6 +86,16 @@ class TestEvaluateSuite:
         with pytest.raises(ValueError, match="budget"):
             evaluate_suite(toy, toy_scores, [loc_driver], budgets=[1.2])
 
+    @pytest.mark.parametrize("drivers, budgets, message", [
+        (["LOC", "LOC"], [0.2], "effort driver 'LOC' given twice"),
+        (["LOC"], [0.2, 0.5, 0.2], "budget 0.2 given twice"),
+        (["LOC"], [0.2, 0.2000000000001], "budget 0.2 given twice"),  # one PofB@0.2 column
+    ])
+    def test_repeated_driver_or_budget_rejected(self, toy, toy_scores, drivers, budgets, message):
+        drivers = [EffortDriver(measures=(name,)) for name in drivers]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_suite(toy, toy_scores, drivers, budgets, policies=())
+
     def test_unknown_policy(self, toy, toy_scores, loc_driver):
         with pytest.raises(ValueError, match="policy"):
             evaluate_suite(toy, toy_scores, [loc_driver], budgets=[], policies=("best",))
@@ -114,13 +127,15 @@ class TestEvaluateSuite:
 
 class TestSharedWork:
     def test_optimal_ranking_built_once_per_driver(self, toy, toy_scores, monkeypatch):
+        # under "asc" the optimal, score and density rankings of a driver
+        # share its tie positions: one driver_values call per driver
         calls = []
 
-        def counting(d, drv):
+        def counting(drv, d):
             calls.append(drv.name)
-            return optimal_ranking(d, drv)
+            return driver_values(drv, d)
 
-        monkeypatch.setattr(evaluate_module, "optimal_ranking", counting)
+        monkeypatch.setattr(ranking_module, "driver_values", counting)
         drivers = [EffortDriver(measures=("LOC",)), EffortDriver(measures=("McCC",))]
         report = evaluate_suite(toy, toy_scores, drivers, budgets=[0.5],
                                 policies=("score", "density", "optimal"))
@@ -155,7 +170,6 @@ class TestSharedWork:
                     curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
                     assert cell.ranking.policy == ranking.policy
                     assert np.array_equal(cell.ranking.order, ranking.order)
-                    assert np.array_equal(cell.ranking.key_values, ranking.key_values)
                     assert (cell.curve.driver, cell.curve.policy, cell.curve.benefit) == (
                         curve.driver, curve.policy, curve.benefit
                     )

@@ -44,9 +44,10 @@ class TestScoreRanking:
         assert ids_in_order(toy, r) == ["A", "B", "C", "D", "E"]
         assert r.policy == "score"
 
-    def test_key_values_track_order(self, toy, toy_scores):
+    def test_scores_descend_along_order(self, toy, toy_scores):
         r = rank("score", toy_scores, toy, None)
-        assert list(r.key_values) == sorted(r.key_values, reverse=True)
+        ordered = toy_scores.values[r.order].tolist()
+        assert ordered == sorted(ordered, reverse=True)
 
     def test_nan_score_rejected_with_module_named(self, toy):
         scores = np.array([0.9, 0.8, math.nan, 0.4, 0.3])
@@ -154,7 +155,8 @@ class TestDensityRanking:
         with pytest.warns(DataQualityWarning, match="A"):
             r = rank("density", np.array([0.99, 0.5, 0.4]), d, None, norm="LOC")
         assert ids_in_order(d, r)[-1] == "A"
-        assert r.key_values[-1] == -math.inf
+        # A has the highest score; only its -inf density puts it last
+        assert np.array([0.99, 0.5, 0.4])[r.order].tolist() == [0.5, 0.4, 0.99]
 
     def test_multiple_zero_measure_modules_keep_dataset_order(self):
         d = build_dataset({"LOC": [0, 10, 0]}, [True, False, True], ids=list("ABC"))
@@ -185,6 +187,10 @@ class TestOptimalRanking:
     def test_toy_mccc(self, toy, mccc_driver):
         r = optimal_ranking(toy, mccc_driver)
         assert ids_in_order(toy, r) == ["E", "A", "C", "B", "D"]
+
+    def test_no_driver_keeps_dataset_order_within_each_class(self, toy):
+        # the rule rank applies with no driver: ties fall to dataset order
+        assert optimal_ranking(toy, None).order.tolist() == [0, 2, 4, 1, 3]
 
     def test_all_defective_sorts_by_effort(self, loc_driver):
         d = build_dataset({"LOC": [30, 10, 20]}, [True, True, True], ids=list("ABC"))
@@ -247,18 +253,17 @@ class TestRankingsMatchSortedReference:
 
         r = rank("score", scores, d, driver, tie_break=tie_break)
         assert r.order.tolist() == sorted_reference(scores, tie_values, tie_break)
-        assert r.key_values.tolist() == [float(scores[i]) for i in r.order]
 
         density = densities(scores, loc)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataQualityWarning)
             r = rank("density", scores, d, driver, norm="LOC", tie_break=tie_break)
         assert r.order.tolist() == sorted_reference(density, tie_values, tie_break)
-        assert r.key_values.tolist() == [float(density[i]) for i in r.order]
 
-        r = optimal_ranking(d, drv)
-        assert r.order.tolist() == sorted(range(d.n), key=lambda i: (not labels[i], loc[i], i))
-        assert r.key_values.tolist() == [float(loc[i]) for i in r.order]
+        expected = sorted(range(d.n), key=lambda i: (not labels[i], loc[i] if with_driver else 0, i))
+        assert optimal_ranking(d, driver).order.tolist() == expected
+        r = rank("optimal", scores, d, driver, tie_break=tie_break)
+        assert r.order.tolist() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -299,29 +304,23 @@ class TestRankingsMatchSortedReference:
 class TestRankedList:
     def test_permutation_validated(self):
         with pytest.raises(ValueError):
-            RankedList(order=(0, 0, 1), policy="score", key_values=(3.0, 2.0, 1.0))
+            RankedList(order=(0, 0, 1), policy="score")
 
     def test_out_of_range_and_non_integer_indices_rejected(self):
         with pytest.raises(ValueError):
-            RankedList(order=(0, 3, 1), policy="score", key_values=(3.0, 2.0, 1.0))
+            RankedList(order=(0, 3, 1), policy="score")
         with pytest.raises(ValueError, match=r"not a permutation of 0\.\.4"):
-            RankedList(order=(0, 0, 1, 2, 3), policy="score", key_values=(5.0, 4.0, 3.0, 2.0, 1.0))
+            RankedList(order=(0, 0, 1, 2, 3), policy="score")
         with pytest.raises(ValueError):
-            RankedList(order=(0.0, 1.0), policy="score", key_values=(2.0, 1.0))
+            RankedList(order=(0.0, 1.0), policy="score")
 
     def test_fields_stored_as_read_only_array_copies(self):
-        order, keys = [1, 0], np.array([2.0, 1.0])
-        r = RankedList(order=order, policy="score", key_values=keys)
+        order = np.array([1, 0])
+        r = RankedList(order=order, policy="score")
         assert r.order.dtype.kind == "i" and r.order.tolist() == [1, 0]
-        assert r.key_values.dtype == float and r.key_values.tolist() == [2.0, 1.0]
-        assert not np.shares_memory(r.key_values, keys)
-        for field in (r.order, r.key_values):
-            with pytest.raises(ValueError):
-                field[0] = 0
-
-    def test_key_length_validated(self):
+        assert not np.shares_memory(r.order, order)
         with pytest.raises(ValueError):
-            RankedList(order=(0, 1), policy="score", key_values=(1.0,))
+            r.order[0] = 0
 
     def test_iterable_protocol(self, toy, toy_scores):
         r = rank("score", toy_scores, toy, None)
