@@ -229,12 +229,21 @@ def _sidecar_roles(path: Path) -> dict:
 @contextlib.contextmanager
 def open_csv(path: Path):
     """path opened as CSV text; a byte that is not UTF-8, wherever the
-    reading meets it, is a ValueError naming the file."""
+    reading meets it, is a ValueError naming the file, the byte's line and
+    its offset in the file."""
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             yield fh
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path.name}: {err}") from None
+    except UnicodeDecodeError:
+        # the stream's error counts from the start of the decoder's chunk;
+        # decoding the raw bytes whole counts from the start of the file
+        raw = path.read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = raw.count(b"\n", 0, err.start) + 1
+            raise ValueError(f"{path.name}: line {line}: {err}") from None
+        raise
 
 
 def csv_records(lines, name: str, first: int = 1, stop: int | None = None):

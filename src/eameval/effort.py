@@ -25,7 +25,8 @@ class EffortDriver:
     Single form: effort = measure. Composite form: effort = weight * first
     + (1 - weight) * second, combining the raw measure values; set
     normalize=True to min-max normalize each measure over the dataset
-    before combining.
+    before combining. measures may be any sequence of names but a bare
+    string; it is stored as a tuple.
     """
 
     measures: tuple[str, ...]
@@ -33,6 +34,12 @@ class EffortDriver:
     normalize: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.measures, str):
+            raise ValueError(f"measures must be a sequence of measure names, got the string {self.measures!r}")
+        object.__setattr__(self, "measures", tuple(self.measures))
+        for measure in self.measures:
+            if not isinstance(measure, str):
+                raise ValueError(f"measure name must be a str, got {measure!r}")
         if len(self.measures) not in (1, 2):
             raise ValueError("driver needs one measure or two")
         if self.is_composite != (self.weight is not None):

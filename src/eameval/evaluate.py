@@ -9,17 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .curves import (BENEFIT_MODES, INTERPOLATIONS, CostEfficiencyCurve, budget_reading,
                      cost_efficiency_curve, popt)
 from .dataset import Dataset, _check_choice
-from .effort import budget_label, check_budget, check_distinct
+from .effort import budget_label, check_budget, check_distinct, driver_values
 from .metrics import (
     ClassificationMetrics,
     classification_metrics,
     confusion_at_cutoff,
     roc_auc,
 )
-from .ranking import POLICIES, RankedList, _GridKeys
+from .ranking import (POLICIES, TIE_BREAKS, RankedList, _dense_rank, _primary_key, _tie_positions,
+                      checked_scores)
 
 
 @dataclass(frozen=True)
@@ -71,26 +74,29 @@ def evaluate_suite(
 
     budgets may be empty, in which case only curves and Popt are produced.
     The settings are checked up front, whatever the drivers: the budgets
-    (none given twice), the drivers (none named twice), the tie_break, each
-    policy, the benefit, the interpolation, the norm when a policy is
-    "density", and the scores (one per module, none NaN). The AUC is
-    ranking-free and reported once; it is None when the dataset has a
-    single class (both classes are required for it to exist).
+    (none given twice), the drivers (none named twice), the policies (none
+    given twice), the tie_break, each policy, the benefit, the
+    interpolation, the norm when a policy is "density", and the scores (one
+    per module, none NaN). The AUC is ranking-free and reported once; it is
+    None when the dataset has a single class (both classes are required for
+    it to exist).
 
-    Every ranking comes from one ranking._GridKeys, which builds each
-    policy's primary key once and each driver's tie positions once per
-    direction (under "asc" all three policies share them). The optimal
-    ranking and its curve are built once per driver and shared by that
-    driver's cells, the "optimal" cell among them. Each budget's cutoff and
-    benefit are read off the cell curve, and its confusion matrix by
-    confusion_at_cutoff.
+    Each policy's primary key is built once, and each driver's values and
+    their dense rank once, whatever the tie_break: the optimal ranking ties
+    by the ascending positions, score and density by the tie_break's. The
+    optimal ranking and its curve are built once per driver and shared by
+    that driver's cells, the "optimal" cell among them. Each budget's cutoff
+    and benefit are read off the cell curve, and its confusion matrix by
+    confusion_at_cutoff. Cells come policy by policy, each in driver order.
     """
     drivers = tuple(drivers)
+    policies = tuple(policies)
     budgets = tuple(map(check_budget, budgets))
     check_distinct("budget", map(budget_label, budgets))
     check_distinct("effort driver", (repr(drv.name) for drv in drivers))
-    policies = tuple(policies)
-    keys = _GridKeys(d, scores, norm, tie_break)
+    check_distinct("policy", map(repr, policies))
+    _check_choice("tie_break", tie_break, TIE_BREAKS)
+    scores = checked_scores(scores, d)
     for policy in policies:
         _check_choice("policy", policy, POLICIES)
     _check_choice("benefit", benefit, BENEFIT_MODES)
@@ -98,21 +104,23 @@ def evaluate_suite(
     if "density" in policies:
         d.measure_vector(norm)
 
-    optimal = {}
-    for drv in drivers if policies else ():  # an empty grid builds nothing
-        best = keys.rank("optimal", drv)
-        optimal[drv] = best, cost_efficiency_curve(best, drv, d, benefit=benefit)
+    primary = {}  # an empty grid builds no key
+    for policy in dict.fromkeys(("optimal", *policies)) if drivers and policies else ():
+        primary[policy] = _primary_key(policy, scores, d, norm)
 
-    cells = []
-    for policy in policies:
-        for drv in drivers:
-            if policy == "optimal":
-                ranking, curve = optimal[drv]
-            else:
-                ranking = keys.rank(policy, drv)
-                curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
-            optimal_curve = optimal[drv][1]
-            cells.append(
+    cells = {policy: [] for policy in policies}
+    for drv in drivers if policies else ():
+        dense = _dense_rank(driver_values(drv, d))
+        asc = _tie_positions(dense, "asc")
+        ties = asc if tie_break == "asc" else _tie_positions(dense, tie_break)
+        pairs = {}
+        for policy, key in primary.items():
+            ranking = RankedList(np.argsort(key + (asc if policy == "optimal" else ties)), policy)
+            pairs[policy] = ranking, cost_efficiency_curve(ranking, drv, d, benefit=benefit)
+        optimal_curve = pairs["optimal"][1]
+        for policy in policies:
+            ranking, curve = pairs[policy]
+            cells[policy].append(
                 EvaluationCell(
                     policy=policy,
                     driver=drv.name,
@@ -124,7 +132,7 @@ def evaluate_suite(
                 )
             )
 
-    auc = roc_auc(keys.scores, d) if 0 < d.num_defective < d.n else None
+    auc = roc_auc(scores, d) if 0 < d.num_defective < d.n else None
     return EvaluationReport(
         dataset_name=dataset_name,
         n=d.n,
@@ -132,7 +140,7 @@ def evaluate_suite(
         prevalence=d.prevalence,
         model=dict(model or {"kind": "external"}),
         auc=auc,
-        cells=tuple(cells),
+        cells=tuple(cell for row in cells.values() for cell in row),
         config={
             "policies": list(policies),
             "drivers": [drv.name for drv in drivers],

@@ -11,9 +11,11 @@ tie position, so the fast unstable sort gives the stable sorted order. A
 score or density primary is the dense rank (np.unique's inverse; -0.0 and
 0.0 share a rank) of the negated key, the optimal one is 0 for defective
 modules and 1 for clean ones. A tie position is a module's place in the
-stable ascending (or descending) order of the driver values, or its
-dataset position. Keys stay below n**2, exact in int64 for n below 3e9.
-_GridKeys builds every ranking, each primary and tie position once.
+stable ascending (or descending) order of the driver values' dense rank,
+or its dataset position. Keys stay below n**2, exact in int64 for n below
+3e9. _primary_key is the one home of each policy's key and _tie_positions
+of the tie rule; evaluate_suite builds each key once per grid and each
+driver's dense rank once.
 """
 
 from __future__ import annotations
@@ -74,10 +76,21 @@ def _dense_rank(key: np.ndarray) -> np.ndarray:
     return np.unique(key, return_inverse=True)[1]
 
 
-def _stable_positions(key: np.ndarray) -> np.ndarray:
-    """Each module's position in the stable ascending order of key."""
-    n = len(key)
-    order = np.argsort(_dense_rank(key) * n + np.arange(n))
+def _primary_key(policy: str, scores: np.ndarray | None, d: Dataset, norm: str | None) -> np.ndarray:
+    """A policy's primary sort key, times n: the dense rank of the negated
+    scores or densities, or 0 for defective modules and 1 for clean ones."""
+    if policy == "optimal":
+        return (~d.labels) * d.n
+    return _dense_rank(-(scores if policy == "score" else _density(scores, norm, d))) * d.n
+
+
+def _tie_positions(dense: np.ndarray, tie_break: str) -> np.ndarray:
+    """Each module's position in the stable ascending ("asc") or descending
+    ("desc") order of a driver's dense rank, or ("input") its dataset position."""
+    n = len(dense)
+    if tie_break == "input":
+        return np.arange(n)
+    order = np.argsort((dense if tie_break == "asc" else -dense) * n + np.arange(n))
     positions = np.empty(n, dtype=np.intp)
     positions[order] = np.arange(n)
     return positions
@@ -85,7 +98,7 @@ def _stable_positions(key: np.ndarray) -> np.ndarray:
 
 def _density(scores: np.ndarray, norm_measure: str, d: Dataset) -> np.ndarray:
     """score / normalizing measure; -inf, with a warning, where the measure is zero.
-    Reached only via _GridKeys.rank from rank or evaluate_suite: stacklevel 4 is their caller."""
+    Reached only via _primary_key from rank or evaluate_suite: stacklevel 4 is their caller."""
     norm = d.measure_vector(norm_measure)
     zero = norm == 0
     if zero.any():
@@ -98,47 +111,6 @@ def _density(scores: np.ndarray, norm_measure: str, d: Dataset) -> np.ndarray:
     return np.where(zero, -np.inf, scores / np.where(zero, 1.0, norm))
 
 
-class _GridKeys:
-    """The sort keys of a grid of rankings of one dataset.
-
-    Each policy's primary key (the scores, their densities or the labels,
-    which no driver changes) is built on its first use, and each driver's
-    tie positions once per direction; every (policy, driver) ranking is then
-    one argsort. Only "score" and "density" need the scores; given, they
-    are checked on construction, as is the tie_break.
-    """
-
-    def __init__(self, d: Dataset, scores=None, norm: str = "LOC", tie_break: str = "asc"):
-        _check_choice("tie_break", tie_break, TIE_BREAKS)
-        self.scores = None if scores is None else checked_scores(scores, d)
-        self.d, self.norm, self.tie_break = d, norm, tie_break
-        self._primary: dict[str, np.ndarray] = {}
-        self._ties: dict[tuple[EffortDriver, str], np.ndarray] = {}
-
-    def rank(self, policy: str, driver: EffortDriver | None) -> RankedList:
-        """The ranking a named policy gives under a driver; with no driver,
-        ties fall straight to dataset order."""
-        _check_choice("policy", policy, POLICIES)
-        if policy not in self._primary:
-            if policy == "optimal":
-                key = (~self.d.labels) * self.d.n
-            else:
-                scores = self.scores if policy == "score" else _density(self.scores, self.norm, self.d)
-                key = _dense_rank(-scores) * self.d.n
-            self._primary[policy] = key
-        tie_break = "asc" if policy == "optimal" else self.tie_break
-        order = np.argsort(self._primary[policy] + self._tie_positions(driver, tie_break))
-        return RankedList(order=order, policy=policy)
-
-    def _tie_positions(self, driver: EffortDriver | None, tie_break: str) -> np.ndarray:
-        if driver is None or tie_break == "input":
-            return np.arange(self.d.n)
-        if (driver, tie_break) not in self._ties:
-            values = driver_values(driver, self.d)
-            self._ties[driver, tie_break] = _stable_positions(values if tie_break == "asc" else -values)
-        return self._ties[driver, tie_break]
-
-
 def rank(policy: str, scores, d: Dataset, driver: EffortDriver | None,
          norm: str = "LOC", tie_break: str = "asc") -> RankedList:
     """The ranking a named policy gives under a driver.
@@ -149,7 +121,16 @@ def rank(policy: str, scores, d: Dataset, driver: EffortDriver | None,
     last, and a DataQualityWarning names it. The tie_break and the scores
     (one per module, none NaN) are checked whatever the policy.
     """
-    return _GridKeys(d, scores, norm, tie_break).rank(policy, driver)
+    _check_choice("tie_break", tie_break, TIE_BREAKS)
+    scores = checked_scores(scores, d)
+    _check_choice("policy", policy, POLICIES)
+    if policy == "optimal":
+        return optimal_ranking(d, driver)
+    if driver is None or tie_break == "input":
+        ties = np.arange(d.n)
+    else:
+        ties = _tie_positions(_dense_rank(driver_values(driver, d)), tie_break)
+    return RankedList(np.argsort(_primary_key(policy, scores, d, norm) + ties), policy)
 
 
 def optimal_ranking(d: Dataset, driver: EffortDriver | None) -> RankedList:
@@ -158,8 +139,11 @@ def optimal_ranking(d: Dataset, driver: EffortDriver | None) -> RankedList:
     Defective modules first in ascending driver value, then the clean ones
     in ascending driver value; ties by dataset order. With no driver, each
     group keeps dataset order. No other ordering finds more defective
-    modules within the effort of any of its prefixes. It is the "optimal"
-    policy of _GridKeys, so evaluate_suite builds it, and its curve, once
-    per driver from the grid's shared keys.
+    modules within the effort of any of its prefixes. evaluate_suite builds
+    it, and its curve, once per driver from the same two keys.
     """
-    return _GridKeys(d).rank("optimal", driver)
+    if driver is None:
+        ties = np.arange(d.n)
+    else:
+        ties = _tie_positions(_dense_rank(driver_values(driver, d)), "asc")
+    return RankedList(np.argsort(_primary_key("optimal", None, d, None) + ties), "optimal")

@@ -234,9 +234,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name, content, message", [
         ("toy.csv", TOY_CSV.encode().replace(b"N\n", b"\xff\n", 1),
-         "toy.csv: 'utf-8' codec can't decode byte 0xff in position 38: invalid start byte"),
+         "toy.csv: line 3: 'utf-8' codec can't decode byte 0xff in position 38: invalid start byte"),
         ("scores.csv", b"0.9\n0.8\n\xff\n0.4\n0.3\n",
-         "scores.csv: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+         "scores.csv: line 3: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
         ("toy.schema.json", b'{"label": "Defective",}',
          "toy.schema.json: Expecting property name enclosed in double quotes: line 1 column 23 (char 22)"),
     ], ids=["data", "scores", "sidecar"])

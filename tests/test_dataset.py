@@ -325,8 +325,21 @@ class TestFatalErrors:
     def test_byte_that_is_not_utf8_in_a_later_block_names_the_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"LOC,Defective\n" + b"10,Y\n" * 10_000 + b"20,\xff\n")
-        with pytest.raises(ValueError, match=r"^t\.csv: " + NOT_UTF8):
+        with pytest.raises(ValueError, match=r"^t\.csv: line 10002: " + NOT_UTF8):
             load_dataset(path)
+
+    def test_byte_that_is_not_utf8_named_by_its_line_and_file_offset(self, tmp_path):
+        # far past the decoder's first chunk, and after a byte-order mark
+        good = ("\ufeffid,LOC,Defective\n" + "".join(f"m{i},{i},N\n" for i in range(10_000))).encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(good + "é,5,N\n".encode("latin-1"))
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert len(good) > 8192
+        assert str(err.value) == (
+            f"t.csv: line 10002: 'utf-8' codec can't decode byte 0xe9 in position {len(good)}: "
+            "invalid continuation byte"
+        )
 
     def test_stray_quote_names_the_row_it_opens(self, tmp_path):
         text = 'id,LOC,Defective\na,1,Y\n"b,2,N\n' + "".join(f"m{i},{i},N\n" for i in range(30_000))

@@ -91,6 +91,13 @@ class TestModuleEffort:
             EffortDriver(measures=("A", "B"))  # composite without weight
         with pytest.raises(ValueError):
             EffortDriver(measures=("A",), weight=0.5)
+        with pytest.raises(ValueError, match=r"^measures must be a sequence of measure names, got the string 'AB'$"):
+            EffortDriver(measures="AB", weight=0.5)
+        with pytest.raises(ValueError, match=r"^measure name must be a str, got 1$"):
+            EffortDriver(measures=("LOC", 1), weight=0.5)
+        drv = EffortDriver(measures=["LOC"])
+        assert drv.measures == ("LOC",)
+        assert drv == EffortDriver(measures=("LOC",)) and hash(drv) == hash(EffortDriver(measures=("LOC",)))
 
 
 class TestNormalizedComposite:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-import eameval.ranking as ranking_module
+import eameval.evaluate as evaluate_module
 from eameval.curves import cost_efficiency_curve, pofb_at, popt
 from eameval.effort import (EffortDriver, cumulative_effort_fractions, cutoff_from_fractions,
                             driver_values)
@@ -110,7 +110,8 @@ class TestEvaluateSuite:
         ({"benefit": "bogus"}, r"benefit must be one of \('modules', 'defects'\), got 'bogus'"),
         ({"interpolation": "spline"}, r"interpolation must be one of \('linear', 'step'\), got 'spline'"),
         ({"norm": "nope", "policies": ("optimal", "density")}, r"unknown measure 'nope'"),
-    ], ids=["policy", "benefit", "interpolation", "norm"])
+        ({"policies": ("score", "optimal", "score")}, r"^policy 'score' given twice$"),
+    ], ids=["policy", "benefit", "interpolation", "norm", "repeated-policy"])
     def test_each_setting_checked_with_no_driver(self, toy, toy_scores, settings, message):
         with pytest.raises(ValueError, match=message):
             evaluate_suite(toy, toy_scores, [], [], **settings)
@@ -126,19 +127,20 @@ class TestEvaluateSuite:
 
 
 class TestSharedWork:
-    def test_optimal_ranking_built_once_per_driver(self, toy, toy_scores, monkeypatch):
-        # under "asc" the optimal, score and density rankings of a driver
-        # share its tie positions: one driver_values call per driver
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_optimal_ranking_built_once_per_driver(self, toy, toy_scores, monkeypatch, tie_break):
+        # the optimal, score and density rankings of a driver share its
+        # values and their dense rank: one driver_values call per driver
         calls = []
 
         def counting(drv, d):
             calls.append(drv.name)
             return driver_values(drv, d)
 
-        monkeypatch.setattr(ranking_module, "driver_values", counting)
+        monkeypatch.setattr(evaluate_module, "driver_values", counting)
         drivers = [EffortDriver(measures=("LOC",)), EffortDriver(measures=("McCC",))]
         report = evaluate_suite(toy, toy_scores, drivers, budgets=[0.5],
-                                policies=("score", "density", "optimal"))
+                                policies=("score", "density", "optimal"), tie_break=tie_break)
         assert sorted(calls) == ["LOC", "McCC"]
         for cell in report.cells:
             twin = next(c for c in report.cells if c.policy == "optimal" and c.driver == cell.driver)
