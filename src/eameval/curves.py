@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, _check_choice, _read_only
-from .effort import EffortDriver, cumulative_effort_fractions, cutoff_from_fractions
+from .effort import EffortDriver, _cumulative_shares, cumulative_effort_fractions, cutoff_from_fractions
 from .ranking import RankedList
 
 BENEFIT_MODES = ("modules", "defects")
@@ -56,21 +56,6 @@ class CostEfficiencyCurve:
         object.__setattr__(self, "ys", ys)
 
 
-def _benefit_weights(d: Dataset, benefit: str) -> np.ndarray:
-    _check_choice("benefit", benefit, BENEFIT_MODES)
-    if benefit == "modules":
-        weights = d.labels.astype(float)
-        if weights.sum() == 0:
-            raise ValueError("no defective modules: benefit proportion is undefined")
-        return weights
-    counts = d.defect_counts
-    if counts is None:
-        raise ValueError("benefit='defects' needs a defect count for every module")
-    if counts.sum() == 0:
-        raise ValueError("no defects recorded: benefit proportion is undefined")
-    return counts
-
-
 def cost_efficiency_curve(
     ranking: RankedList,
     drv: EffortDriver,
@@ -84,9 +69,14 @@ def cost_efficiency_curve(
     play) over the total. Both endpoints are exact.
     """
     fractions = cumulative_effort_fractions(drv, ranking, d)
-    weights = _benefit_weights(d, benefit)
-    found = np.cumsum(weights[ranking.order]) / weights.sum()
-    found[-1] = 1.0
+    _check_choice("benefit", benefit, BENEFIT_MODES)
+    if benefit == "modules":
+        values, empty = d.labels.astype(float), "no defective modules: benefit proportion is undefined"
+    elif d.defect_counts is None:
+        raise ValueError("benefit='defects' needs a defect count for every module")
+    else:
+        values, empty = d.defect_counts, "no defects recorded: benefit proportion is undefined"
+    found = _cumulative_shares(values, ranking.order, empty)
     return CostEfficiencyCurve(
         xs=np.concatenate(([0.0], fractions)),
         ys=np.concatenate(([0.0], found)),

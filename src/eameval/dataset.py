@@ -440,11 +440,13 @@ class _Table:
     def add_lines(self, lines: list, first: int) -> bool:
         """Check one block of raw lines parsed by numpy's C reader, as add does.
         False, having added nothing, if numpy might read it otherwise than
-        csv.reader and float(): a quote or NUL, a line of another field count,
-        over csv's field size limit or empty (numpy skips it), or a cell numpy
-        cannot read as a float ('', '1_0', '\u0661')."""
+        csv.reader and float(): a quote or NUL, one of the separators
+        \x1c-\x1f (numpy strips them around a number, float() does not), a
+        line of another field count, over csv's field size limit or empty
+        (numpy skips it), or a cell numpy cannot read as a float ('', '1_0',
+        '\u0661')."""
         text = "".join(lines)
-        if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+        if any(c in text for c in '"\0\x1c\x1d\x1e\x1f') or max(map(len, lines)) > csv.field_size_limit():
             return False
         if set(map(str.count, lines, itertools.repeat(","))) != {self.width - 1}:
             return False  # usecols would ignore an extra field

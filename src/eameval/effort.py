@@ -110,16 +110,22 @@ def cumulative_effort_fractions(drv: EffortDriver, ranking, d: Dataset) -> np.nd
     """
     idx = ranking.order_for(d)
     values = driver_values(drv, d)
-    sums = np.cumsum(values[idx])
+    return _cumulative_shares(values, idx, f"degenerate driver {drv.name!r}: total system effort is zero")
+
+
+def _cumulative_shares(values: np.ndarray, order: np.ndarray, empty: str) -> np.ndarray:
+    """Prefix sums of values[order] over their total, the last entry exactly 1;
+    ValueError(empty) when the total is not positive."""
+    sums = np.cumsum(values[order])
     # Divide by the cumulative sum's own last element, not a separately
     # computed total: summation order differences of one ulp would otherwise
-    # let an intermediate fraction land above 1.
+    # let an intermediate share land above 1.
     total = float(sums[-1])
     if total <= 0.0:
-        raise ValueError(f"degenerate driver {drv.name!r}: total system effort is zero")
-    fractions = sums / total
-    fractions[-1] = 1.0
-    return fractions
+        raise ValueError(empty)
+    shares = sums / total
+    shares[-1] = 1.0
+    return shares
 
 
 def check_budget(budget) -> float:

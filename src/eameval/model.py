@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, _check_choice, _read_only, csv_records, open_csv
+from .dataset import Dataset, _blank, _check_choice, _read_only, csv_records, open_csv
 
 SCORE_KINDS = ("probability", "defect-count-estimate", "raw")
 SCORE_MATCHES = ("id", "order")
@@ -246,7 +246,7 @@ def import_scores(path, d: Dataset, kind: str = "probability", match: str = "id"
     _check_choice("kind", kind, SCORE_KINDS)
 
     with open_csv(path) as fh:
-        rows = [(r, row) for r, row in csv_records(fh, path.name) if any(c.strip() for c in row)]
+        rows = [(r, row) for r, row in csv_records(fh, path.name) if not _blank(row)]
     known = set(d.ids)
     if rows:
         first = rows[0][1]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eameval.curves import (
     CostEfficiencyCurve,
@@ -8,8 +10,10 @@ from eameval.curves import (
     pofb_at,
     popt,
 )
+from eameval.dataset import Dataset
 from eameval.effort import EffortDriver
-from eameval.ranking import optimal_ranking, rank
+from eameval.evaluate import evaluate_suite
+from eameval.ranking import RankedList, optimal_ranking, rank
 
 from conftest import (
     build_dataset,
@@ -265,6 +269,42 @@ class TestBenefitModes:
         by_modules = cost_efficiency_curve(ranking, loc_driver, d, benefit="modules")
         by_defects = cost_efficiency_curve(ranking, loc_driver, d, benefit="defects")
         assert np.allclose(by_modules.ys, by_defects.ys)
+
+    def test_fractional_counts_build_a_curve(self, loc_driver):
+        # In ranked order 1.1 + 0.1 + 0.1 sums one ulp above counts.sum().
+        d = Dataset(
+            ids=list("abcd"),
+            labels=[True, True, True, False],
+            measures={"LOC": [10.0] * 4},
+            defect_counts=[0.1, 0.1, 1.1, 0.0],
+        )
+        scores = np.array([0.6, 0.4, 0.9, 0.1])
+        curve = cost_efficiency_curve(rank("score", scores, d, None), loc_driver, d, benefit="defects")
+        sums = np.cumsum([1.1, 0.1, 0.1, 0.0])
+        assert curve.ys.tolist() == [0.0, *(sums[:-1] / sums[-1]).tolist(), 1.0]
+        report = evaluate_suite(d, scores, [loc_driver], [0.5], ["score", "optimal"], benefit="defects")
+        assert report.cells[0].curve.ys.tolist() == curve.ys.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tenths=st.lists(st.integers(0, 50), min_size=1, max_size=40).filter(any),
+        data=st.data(),
+    )
+    def test_fractional_counts_share_the_prefix_sum_rule(self, tenths, data):
+        counts = np.array(tenths) / 10.0
+        n = len(counts)
+        d = Dataset(
+            ids=[f"m{i}" for i in range(n)],
+            labels=(counts > 0).tolist(),
+            measures={"LOC": [10.0] * n},
+            defect_counts=counts,
+        )
+        order = np.array(data.draw(st.permutations(range(n))))
+        curve = cost_efficiency_curve(RankedList(order, "score"), EffortDriver(("LOC",)), d, benefit="defects")
+        sums = np.cumsum(counts[order])
+        assert np.all(curve.ys[:-1] <= curve.ys[1:])
+        assert curve.ys[-1] == 1.0
+        assert curve.ys[1:].tobytes() == np.append(sums[:-1] / sums[-1], 1.0).tobytes()
 
     def test_counts_required(self, toy, toy_scores, loc_driver):
         ranking = rank("score", toy_scores, toy, None)

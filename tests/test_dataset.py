@@ -691,9 +691,9 @@ GOOD_CELLS = {
     "id": ["m{k}", "m{k}", '"m{k}\nx"', '"m{k}\r\n\ny"', "m{k}\x00", "#m{k}", "a", " a", "b"],
 }
 BAD_CELLS = {
-    "m": ["nan", "inf", "-inf", "-5", "abc", "", "  ", '"1,5"', "#"],
+    "m": ["nan", "inf", "-inf", "-5", "abc", "", "  ", '"1,5"', "#", "3\x1c"],
     "label": ["maybe", "", '"yes, no"', "Y\x00"],
-    "count": ["1.5", "-1", "x", "", "nan"],
+    "count": ["1.5", "-1", "x", "", "nan", "1\x1f"],
     "id": [],
 }
 BLANK_LINES = ["", "   ", "\t \t", " , ", ",,", '""']
@@ -799,6 +799,18 @@ class TestAgainstRowReference:
         assert len(lines_read) == 2  # the header and the lead record
         assert len(outcome[0][0]) == 10_000 and outcome[1] == []
         assert outcome == load_outcome(row_reference, path)
+
+    @pytest.mark.parametrize("last", ["x,1,N", '"x",1,N'])
+    def test_separator_after_a_number_rejected_whichever_reader_parses_the_block(self, tmp_path, last):
+        # numpy strips \x1c-\x1f around a float, float() rejects them; the
+        # quote in the last row sends the whole block to csv.reader.
+        path = write(tmp_path / "t.csv", f"id,LOC,Defective\na,2,Y\nb,3\x1c,N\n{last}\n")
+        (ids, _, measures, _), caught = load_outcome(load_dataset, path)
+        assert ids == ("a", "x")
+        assert measures["LOC"] == np.array([2.0, 1.0]).tobytes()
+        assert caught == [
+            (DataQualityWarning, "t.csv: row 3: measure 'LOC' value '3\\x1c' is not a finite number; row rejected")
+        ]
 
     @pytest.mark.parametrize("last", ["c,3,N", '"c",3,N'])
     def test_field_over_the_size_limit_fails_as_csv_reader_does(self, tmp_path, last):
