@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _check_choice, _read_only
+from .dataset import Dataset, _check_choice, _frozen, _read_only
 from .effort import EffortDriver, _cumulative_shares, cumulative_effort_fractions, cutoff_from_fractions
 from .ranking import RankedList
 
@@ -78,8 +78,8 @@ def cost_efficiency_curve(
         values, empty = d.defect_counts, "no defects recorded: benefit proportion is undefined"
     found = _cumulative_shares(values, ranking.order, empty)
     return CostEfficiencyCurve(
-        xs=np.concatenate(([0.0], fractions)),
-        ys=np.concatenate(([0.0], found)),
+        xs=_frozen(np.concatenate(([0.0], fractions))),
+        ys=_frozen(np.concatenate(([0.0], found))),
         driver=drv.name,
         policy=ranking.policy,
         benefit=benefit,

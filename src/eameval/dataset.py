@@ -16,9 +16,10 @@ import functools
 import itertools
 import json
 import math
+import threading
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
@@ -31,6 +32,13 @@ _LABEL_CODES = {**dict.fromkeys(TRUE_SPELLINGS, 1), **dict.fromkeys(FALSE_SPELLI
 # Lines per block of load_dataset's stream: one block's lines, and its cells,
 # are all it holds of the file at any time.
 _BLOCK_ROWS = 4096
+
+# The most effort drivers whose parts one Dataset's memo keeps: past it the
+# oldest driver's are dropped, so a sweep over many composite weights keeps
+# at most this many drivers' arrays alive.
+_MEMO_DRIVERS = 16
+# Guards each memo's check-and-insert; builds run outside it.
+_MEMO_LOCK = threading.Lock()
 
 
 class DataQualityWarning(UserWarning):
@@ -61,12 +69,17 @@ class Dataset:
     passed in that is already read-only and owns its data is shared, not
     copied; with_measure hands every existing column on to the new dataset
     and checks only the one it adds.
+
+    A dataset also keeps a private memo of what its evaluation under an
+    effort driver needs whatever the scores (see _driver_memo); the new
+    dataset of with_measure or dataclasses.replace starts with an empty one.
     """
 
     ids: tuple[str, ...]
     labels: np.ndarray
     measures: Mapping[str, np.ndarray]
     defect_counts: np.ndarray | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = tuple(self.ids)
@@ -122,7 +135,31 @@ class Dataset:
         extended = copy.copy(self)
         measures = {**self.measures, name: _checked_column(f"measure {name!r}", values, self.ids)}
         object.__setattr__(extended, "measures", MappingProxyType(measures))
+        object.__setattr__(extended, "_memo", {})
         return extended
+
+    def _driver_memo(self, driver, part: str | tuple, build):
+        """A part of this dataset's evaluation under an effort driver that
+        does not depend on the scores: build() on the first request, the
+        stored result on every later one.
+
+        The memo keeps the parts of at most _MEMO_DRIVERS drivers and drops
+        the oldest driver's first. A build that raises stores nothing, so
+        the request raises again next time. Drivers are told apart by their
+        name too: weights 0.0 and -0.0 make equal drivers with two names.
+        """
+        key = (driver, driver.name)
+        parts = self._memo.get(key)
+        if parts is not None and part in parts:
+            return parts[part]
+        value = build()
+        with _MEMO_LOCK:
+            parts = self._memo.get(key)  # a nested build may have added it
+            if parts is None:
+                if len(self._memo) >= _MEMO_DRIVERS:
+                    del self._memo[next(iter(self._memo))]
+                parts = self._memo[key] = {}
+            return parts.setdefault(part, value)
 
 
 def _check_unique(ids: tuple[str, ...]) -> None:
@@ -163,6 +200,13 @@ def _read_only(values, dtype, n: int, what: str) -> np.ndarray:
         raise ValueError(f"expected {n} values for {what}, got shape {column.shape}")
     column.flags.writeable = False
     return column
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """An array the package has just built, and no one else holds, made
+    read-only in place, so that _read_only shares it rather than copying it."""
+    array.flags.writeable = False
+    return array
 
 
 def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
@@ -523,9 +567,7 @@ class _Table:
 
 
 def _column(parts) -> np.ndarray:
-    column = np.concatenate(parts)
-    column.flags.writeable = False  # so the Dataset shares it rather than copying
-    return column
+    return _frozen(np.concatenate(parts))
 
 
 def save_dataset(d: Dataset, path) -> None:

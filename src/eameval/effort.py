@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _frozen
 
 # Budget comparisons tolerate float accumulation from the cumulative sums.
 BUDGET_TOL = 1e-12
@@ -84,7 +84,12 @@ def parse_driver(text: str) -> EffortDriver:
 
 
 def driver_values(drv: EffortDriver, d: Dataset) -> np.ndarray:
-    """Per-module effort values in dataset order."""
+    """Per-module effort values in dataset order (a read-only array),
+    computed once per dataset and driver."""
+    return d._driver_memo(drv, "values", lambda: _frozen(_effort(drv, d)))
+
+
+def _effort(drv: EffortDriver, d: Dataset) -> np.ndarray:
     if not drv.is_composite:
         return d.measure_vector(drv.measures[0])
     first = d.measure_vector(drv.measures[0])

@@ -13,16 +13,15 @@ import numpy as np
 
 from .curves import (BENEFIT_MODES, INTERPOLATIONS, CostEfficiencyCurve, budget_reading,
                      cost_efficiency_curve, popt)
-from .dataset import Dataset, _check_choice
-from .effort import budget_label, check_budget, check_distinct, driver_values
+from .dataset import Dataset, _check_choice, _frozen
+from .effort import EffortDriver, budget_label, check_budget, check_distinct
 from .metrics import (
     ClassificationMetrics,
     classification_metrics,
     confusion_at_cutoff,
     roc_auc,
 )
-from .ranking import (POLICIES, TIE_BREAKS, RankedList, _dense_rank, _primary_key, _tie_positions,
-                      checked_scores)
+from .ranking import POLICIES, TIE_BREAKS, RankedList, _primary_key, _ties, checked_scores, optimal_ranking
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,15 @@ def evaluate_suite(
     None when the dataset has a single class (both classes are required for
     it to exist).
 
-    Each policy's primary key is built once, and each driver's values and
-    their dense rank once, whatever the tie_break: the optimal ranking ties
-    by the ascending positions, score and density by the tie_break's. The
-    optimal ranking and its curve are built once per driver and shared by
-    that driver's cells, the "optimal" cell among them. Each budget's cutoff
-    and benefit are read off the cell curve, and its confusion matrix by
-    confusion_at_cutoff. Cells come policy by policy, each in driver order.
+    The score and density primary keys are built once per call. What
+    depends on the dataset and a driver alone is built once per dataset and
+    kept in its memo, so repeated calls on one dataset reuse it: the
+    driver's values, its tie positions in the tie_break's direction, and
+    the optimal ranking and its curve under the benefit, which that
+    driver's cells share, the "optimal" cell among them. Each budget's
+    cutoff and benefit are read off the cell curve, and its confusion
+    matrix by confusion_at_cutoff. Cells come policy by policy, each in
+    driver order.
     """
     drivers = tuple(drivers)
     policies = tuple(policies)
@@ -105,17 +106,15 @@ def evaluate_suite(
         d.measure_vector(norm)
 
     primary = {}  # an empty grid builds no key
-    for policy in dict.fromkeys(("optimal", *policies)) if drivers and policies else ():
-        primary[policy] = _primary_key(policy, scores, d, norm)
+    for policy in policies if drivers else ():
+        if policy != "optimal":
+            primary[policy] = _primary_key(policy, scores, d, norm)
 
     cells = {policy: [] for policy in policies}
     for drv in drivers if policies else ():
-        dense = _dense_rank(driver_values(drv, d))
-        asc = _tie_positions(dense, "asc")
-        ties = asc if tie_break == "asc" else _tie_positions(dense, tie_break)
-        pairs = {}
+        pairs = {"optimal": _optimal_pair(d, drv, benefit)}
         for policy, key in primary.items():
-            ranking = RankedList(np.argsort(key + (asc if policy == "optimal" else ties)), policy)
+            ranking = RankedList(_frozen(np.argsort(key + _ties(d, drv, tie_break))), policy)
             pairs[policy] = ranking, cost_efficiency_curve(ranking, drv, d, benefit=benefit)
         optimal_curve = pairs["optimal"][1]
         for policy in policies:
@@ -151,6 +150,17 @@ def evaluate_suite(
             "popt_interpolation": interpolation,
         },
     )
+
+
+def _optimal_pair(d: Dataset, drv: EffortDriver, benefit: str) -> tuple[RankedList, CostEfficiencyCurve]:
+    """The optimal ranking under a driver and its curve under a benefit,
+    built once per dataset."""
+
+    def build():
+        ranking = optimal_ranking(d, drv)
+        return ranking, cost_efficiency_curve(ranking, drv, d, benefit=benefit)
+
+    return d._driver_memo(drv, ("optimal", benefit), build)
 
 
 def _budget_results(ranking: RankedList, curve: CostEfficiencyCurve, d: Dataset,

@@ -13,9 +13,11 @@ score or density primary is the dense rank (np.unique's inverse; -0.0 and
 modules and 1 for clean ones. A tie position is a module's place in the
 stable ascending (or descending) order of the driver values' dense rank,
 or its dataset position. Keys stay below n**2, exact in int64 for n below
-3e9. _primary_key is the one home of each policy's key and _tie_positions
-of the tie rule; evaluate_suite builds each key once per grid and each
-driver's dense rank once.
+3e9. _primary_key is the one home of each policy's key and _ties of the
+tie rule. What depends on the dataset and driver alone, a direction's tie
+positions and the optimal ranking, is built once per dataset and kept in
+its memo (Dataset._driver_memo); evaluate_suite builds each score or
+density key once per call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataQualityWarning, Dataset, _check_choice, _read_only
+from .dataset import DataQualityWarning, Dataset, _check_choice, _frozen, _read_only
 from .effort import EffortDriver, driver_values
 
 TIE_BREAKS = ("asc", "desc", "input")
@@ -49,7 +51,7 @@ class RankedList:
     def __post_init__(self) -> None:
         order = np.asarray(self.order)
         n = len(order)
-        if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(n)):
+        if order.dtype.kind not in "iu" or order.ndim != 1 or not _is_permutation(order):
             raise ValueError(f"order is not a permutation of 0..{n - 1}")
         object.__setattr__(self, "order", _read_only(order, np.intp, n, "order"))
 
@@ -58,6 +60,17 @@ class RankedList:
         if len(self.order) != d.n:
             raise ValueError(f"order is not a permutation of 0..{d.n - 1}")
         return self.order
+
+
+def _is_permutation(order: np.ndarray) -> bool:
+    """Whether a 1-D integer array is not empty and holds each of 0..len-1
+    exactly once; O(n), with no sort."""
+    n = len(order)
+    if n == 0 or order.min() < 0 or order.max() >= n:
+        return False  # checked before the scatter, where -1 would mark the last slot
+    seen = np.zeros(n, dtype=bool)
+    seen[order] = True
+    return bool(seen.all())
 
 
 def checked_scores(scores, d: Dataset) -> np.ndarray:
@@ -84,16 +97,22 @@ def _primary_key(policy: str, scores: np.ndarray | None, d: Dataset, norm: str |
     return _dense_rank(-(scores if policy == "score" else _density(scores, norm, d))) * d.n
 
 
-def _tie_positions(dense: np.ndarray, tie_break: str) -> np.ndarray:
-    """Each module's position in the stable ascending ("asc") or descending
-    ("desc") order of a driver's dense rank, or ("input") its dataset position."""
-    n = len(dense)
-    if tie_break == "input":
-        return np.arange(n)
-    order = np.argsort((dense if tie_break == "asc" else -dense) * n + np.arange(n))
-    positions = np.empty(n, dtype=np.intp)
-    positions[order] = np.arange(n)
-    return positions
+def _ties(d: Dataset, driver: EffortDriver | None, tie_break: str) -> np.ndarray:
+    """Each module's tie position: its dataset position with no driver or
+    under "input", else its position in the stable ascending ("asc") or
+    descending ("desc") order of the driver values' dense rank, built once
+    per direction and kept read-only in d's memo."""
+    if driver is None or tie_break == "input":
+        return np.arange(d.n)
+
+    def build():
+        dense = _dense_rank(driver_values(driver, d))
+        order = np.argsort((dense if tie_break == "asc" else -dense) * d.n + np.arange(d.n))
+        positions = np.empty(d.n, dtype=np.intp)
+        positions[order] = np.arange(d.n)
+        return _frozen(positions)
+
+    return d._driver_memo(driver, tie_break, build)
 
 
 def _density(scores: np.ndarray, norm_measure: str, d: Dataset) -> np.ndarray:
@@ -126,11 +145,8 @@ def rank(policy: str, scores, d: Dataset, driver: EffortDriver | None,
     _check_choice("policy", policy, POLICIES)
     if policy == "optimal":
         return optimal_ranking(d, driver)
-    if driver is None or tie_break == "input":
-        ties = np.arange(d.n)
-    else:
-        ties = _tie_positions(_dense_rank(driver_values(driver, d)), tie_break)
-    return RankedList(np.argsort(_primary_key(policy, scores, d, norm) + ties), policy)
+    key = _primary_key(policy, scores, d, norm)
+    return RankedList(_frozen(np.argsort(key + _ties(d, driver, tie_break))), policy)
 
 
 def optimal_ranking(d: Dataset, driver: EffortDriver | None) -> RankedList:
@@ -139,11 +155,12 @@ def optimal_ranking(d: Dataset, driver: EffortDriver | None) -> RankedList:
     Defective modules first in ascending driver value, then the clean ones
     in ascending driver value; ties by dataset order. With no driver, each
     group keeps dataset order. No other ordering finds more defective
-    modules within the effort of any of its prefixes. evaluate_suite builds
-    it, and its curve, once per driver from the same two keys.
+    modules within the effort of any of its prefixes. Under a driver it is
+    built once per dataset, and every later call returns the same ranking.
     """
-    if driver is None:
-        ties = np.arange(d.n)
-    else:
-        ties = _tie_positions(_dense_rank(driver_values(driver, d)), "asc")
-    return RankedList(np.argsort(_primary_key("optimal", None, d, None) + ties), "optimal")
+
+    def build():
+        key = _primary_key("optimal", None, d, None) + _ties(d, driver, "asc")
+        return RankedList(_frozen(np.argsort(key)), "optimal")
+
+    return build() if driver is None else d._driver_memo(driver, "optimal", build)

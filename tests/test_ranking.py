@@ -314,6 +314,21 @@ class TestRankedList:
         with pytest.raises(ValueError):
             RankedList(order=(0.0, 1.0), policy="score")
 
+    @pytest.mark.parametrize("order", [(1, -1, 0), (0, 1, -3), (2, 3, 1), (0, 0, 0), ((0, 1, 2),)])
+    def test_bad_orders_rejected_without_wrapping(self, order):
+        # -1 would index the last module, and a 2-D order holds each index once
+        n = len(order)
+        with pytest.raises(ValueError, match=rf"^order is not a permutation of 0\.\.{n - 1}$"):
+            RankedList(order=np.array(order), policy="score")
+
+    def test_empty_order_rejected(self):
+        with pytest.raises(ValueError, match=r"^order is not a permutation of 0\.\.-1$"):
+            RankedList(order=np.array([], dtype=np.intp), policy="score")
+
+    def test_unsigned_order_accepted(self):
+        r = RankedList(order=np.array([2, 0, 1], dtype=np.uint64), policy="score")
+        assert r.order.dtype == np.intp and r.order.tolist() == [2, 0, 1]
+
     def test_fields_stored_as_read_only_array_copies(self):
         order = np.array([1, 0])
         r = RankedList(order=order, policy="score")
