@@ -145,20 +145,18 @@ class Dataset:
 
         The memo keeps the parts of at most _MEMO_DRIVERS drivers and drops
         the oldest driver's first. A build that raises stores nothing, so
-        the request raises again next time. Drivers are told apart by their
-        name too: weights 0.0 and -0.0 make equal drivers with two names.
+        the request raises again next time.
         """
-        key = (driver, driver.name)
-        parts = self._memo.get(key)
+        parts = self._memo.get(driver)
         if parts is not None and part in parts:
             return parts[part]
         value = build()
         with _MEMO_LOCK:
-            parts = self._memo.get(key)  # a nested build may have added it
+            parts = self._memo.get(driver)  # a nested build may have added it
             if parts is None:
                 if len(self._memo) >= _MEMO_DRIVERS:
                     del self._memo[next(iter(self._memo))]
-                parts = self._memo[key] = {}
+                parts = self._memo[driver] = {}
             return parts.setdefault(part, value)
 
 
@@ -335,8 +333,10 @@ def load_dataset(
 
     The file is read as a stream, one block of lines at a time. numpy's C
     reader parses a block of plain lines (no quote, the header's field
-    count, numbers numpy reads as float() does); any other block is read
-    with csv.reader, which may read past the block to finish a quoted cell.
+    count) in one pass; a number cell numpy cannot read ('', 'NA') costs a
+    second pass, which reads every cell as text and the numbers with
+    float(). Any other block is read with csv.reader, which may read past
+    the block to finish a quoted cell.
     Both feed the same column checks. A record csv.reader cannot read (a
     stray quote) is an error naming its row.
     """
@@ -471,8 +471,14 @@ class _Table:
         self.rows, self.ids, self.labels, self.counts = [], [], [], []
         self.columns = [[] for _ in measures]
         self.rejections, self.blank_rows = [], []
-        self.text_at = [label_at] + ([] if id_at is None else [id_at])
-        self.number_at = [i for _, i in measures] + ([] if count_at is None else [count_at])
+        # One field per column add_lines reads, in column order: object keeps
+        # a text cell exactly, NULs and whitespace included, and float parses
+        # a number cell. A column read both ways (a sidecar may list the label
+        # as a measure) is kept as text.
+        text_at = {label_at, id_at} - {None}
+        self.usecols = sorted({*text_at, *(i for _, i in measures), count_at} - {None})
+        self.fields = np.dtype([(f"c{i}", object if i in text_at else float) for i in self.usecols])
+        self.text_fields = np.dtype([(f"c{i}", object) for i in self.usecols])
 
     def add(self, block: list, first: int) -> None:
         """Check one block of csv.reader records; first is the row number of block[0]."""
@@ -484,28 +490,34 @@ class _Table:
     def add_lines(self, lines: list, first: int) -> bool:
         """Check one block of raw lines parsed by numpy's C reader, as add does.
         False, having added nothing, if numpy might read it otherwise than
-        csv.reader and float(): a quote or NUL, one of the separators
-        \x1c-\x1f (numpy strips them around a number, float() does not), a
-        line of another field count, over csv's field size limit or empty
-        (numpy skips it), or a cell numpy cannot read as a float ('', '1_0',
-        '\u0661')."""
+        csv.reader: a quote or NUL, one of the separators \x1c-\x1f (numpy
+        strips them around a number, float() does not), a line of another
+        field count, over csv's field size limit or empty (numpy skips it).
+
+        The block is parsed once, number cells as floats. When numpy cannot
+        read one of them as a float ('', 'NA', '1_0'), the block is parsed
+        again with every cell as text and the number columns are read with
+        float(), as add reads them."""
         text = "".join(lines)
         if any(c in text for c in '"\0\x1c\x1d\x1e\x1f') or max(map(len, lines)) > csv.field_size_limit():
             return False
         if set(map(str.count, lines, itertools.repeat(","))) != {self.width - 1}:
             return False  # usecols would ignore an extra field
-        parse = functools.partial(np.loadtxt, lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+        if any(ending in lines for ending in ("\n", "\r\n", "\r")):
+            return False  # numpy would skip the empty line, and warn if all are
+        parse = functools.partial(
+            np.loadtxt, lines, delimiter=",", comments=None, quotechar=None, ndmin=1, usecols=self.usecols)
         try:
-            numbers = parse(dtype=float, usecols=self.number_at)
-            # object keeps each cell's text exactly, NULs and whitespace included
-            texts = parse(dtype=object, usecols=self.text_at)
+            table = parse(dtype=self.fields)
         except ValueError:
-            return False
-        if len(texts) != len(lines) or len(numbers) != len(lines):
-            return False
-        text_of, number_of = dict(zip(self.text_at, texts.T.tolist())), dict(zip(self.number_at, numbers.T))
+            table = parse(dtype=self.text_fields)
+
+        def number_of(i):
+            column = table[f"c{i}"]
+            return _floats(column.tolist()) if column.dtype == object else column
+
         self._check(
-            first, np.ones(len(lines), dtype=bool), text_of.__getitem__, number_of.__getitem__,
+            first, np.ones(len(lines), dtype=bool), lambda i: table[f"c{i}"].tolist(), number_of,
             lambda k: next(csv.reader([lines[k]])),
         )
         return True

@@ -46,6 +46,9 @@ class EffortDriver:
             raise ValueError("weight must be given exactly for composite drivers")
         if self.weight is not None and not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"composite weight must be in [0, 1], got {self.weight}")
+        if self.weight is not None:
+            # + 0.0 turns -0.0 into 0.0: equal drivers get one name
+            object.__setattr__(self, "weight", self.weight + 0.0)
         if self.normalize and not self.is_composite:
             raise ValueError("normalize applies to composite drivers only")
 

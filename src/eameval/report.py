@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import starmap
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -110,19 +110,28 @@ def write_tables_csv(path, report: EvaluationReport) -> None:
             writer.writerow(row)
 
 
+# Rows of a curve CSV formatted and written per write: the float reprs are
+# made a block at a time, never for the whole curve at once.
+_WRITE_ROWS = 4096
+
+
 def _point_cells(curve: CostEfficiencyCurve):
+    """The x texts and the y texts of a curve's points, the xs lazily."""
     # Shortest round-trip reprs: a curve CSV reproduces every point exactly.
     # ys take few distinct values; each bit pattern (-0.0 too) is repr'd once.
     bits, index = np.unique(curve.ys.view(np.int64), return_inverse=True)
     texts = np.array([repr(y) for y in bits.view(float).tolist()], dtype=object)
-    return zip(map(repr, curve.xs.tolist()), texts[index].tolist())
+    return map(repr, curve.xs.tolist()), texts[index].tolist()
 
 
 def write_curve_csv(path, curve: CostEfficiencyCurve) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow([f"effort_fraction ({curve.driver})", f"benefit ({curve.policy})"])
         # A float repr needs no quoting, unlike a driver name: csv.writer's bytes.
-        fh.writelines(starmap("{},{}\r\n".format, _point_cells(curve)))
+        xs, ys = _point_cells(curve)
+        cells = zip(xs, repeat(","), ys, repeat("\r\n"))
+        for block in iter(lambda: "".join(chain.from_iterable(islice(cells, _WRITE_ROWS))), ""):
+            fh.write(block)
 
 
 def write_compare_csv(path, curves) -> None:
@@ -131,4 +140,4 @@ def write_compare_csv(path, curves) -> None:
         writer = csv.writer(fh)
         writer.writerow(["driver", "policy", "effort_fraction", "benefit"])
         for curve in curves:
-            writer.writerows((curve.driver, curve.policy, x, y) for x, y in _point_cells(curve))
+            writer.writerows((curve.driver, curve.policy, x, y) for x, y in zip(*_point_cells(curve)))

@@ -22,6 +22,9 @@ PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 TICKS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 X_LABEL = "effort fraction"
+# Side, in canvas px, of the square cells a polyline draws about one point
+# of each (see _polyline_points).
+CELL_PX = 0.25
 
 
 def _escape(text: str) -> str:
@@ -40,21 +43,19 @@ def _to_canvas(x, y):
 def _polyline_points(xs, ys) -> list[str]:
     """Canvas "x,y" pairs of a curve at the rendered 2-decimal precision.
 
-    A point whose pair repeats the one before it is dropped: it draws
-    nothing, so the line is unchanged, and a long curve's plot shrinks to
-    the points that show. Only points that may print apart from the one
-    before are formatted: a point surely repeats it when both coordinates
-    round to the same hundredths (sign of zero included) and none of the
-    four lies within 1e-6 of a half-hundredth or beyond 1e6 in magnitude.
+    A point is drawn when its canvas position lies in another CELL_PX x
+    CELL_PX cell than the point before it; the first and the last point
+    are always drawn. A point left out shares a cell with the drawn point
+    that starts its run, so the line stays within CELL_PX * sqrt(2) (plus
+    the printing's rounding) of every point of the curve, and a long
+    curve's plot shrinks to about one point per cell it crosses. Drawn
+    points that print like the one before them are then dropped too.
     """
     px, py = _to_canvas(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    repeat = np.arange(len(px)) > 0
-    for scaled in (100 * px, 100 * py):
-        key = np.rint(scaled)
-        clear = (np.abs(scaled - key) < 0.4999) & (np.abs(scaled) < 1e8)
-        bits = key.view(np.int64)
-        repeat[1:] &= clear[1:] & clear[:-1] & (bits[1:] == bits[:-1])
-    pairs = map("{:.2f},{:.2f}".format, px[~repeat].tolist(), py[~repeat].tolist())
+    cx, cy = np.floor(px / CELL_PX), np.floor(py / CELL_PX)
+    drawn = np.ones(len(px), dtype=bool)
+    drawn[1:-1] = (cx[1:-1] != cx[:-2]) | (cy[1:-1] != cy[:-2])
+    pairs = map("{:.2f},{:.2f}".format, px[drawn].tolist(), py[drawn].tolist())
     return [pair for pair, _ in groupby(pairs)]
 
 

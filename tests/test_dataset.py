@@ -697,10 +697,10 @@ BAD_CELLS = {
     "id": [],
 }
 BLANK_LINES = ["", "   ", "\t \t", " , ", ",,", '""']
-# Cells that make a block go to csv.reader: quoted, or not read by numpy as a float.
-NOT_PLAIN = {
-    '"4"', '"N"', '"m{k}\nx"', '"m{k}\r\n\ny"', '"1,5"', '"yes, no"', "1_0", "\u0661", "", "  ", "abc", "#", "x",
-}
+# Quoted cells, which make a block go to csv.reader. A cell numpy cannot
+# read as a float ('1_0', '\u0661', '', 'abc') only makes it parse the
+# block again as text.
+NOT_PLAIN = {'"4"', '"N"', '"m{k}\nx"', '"m{k}\r\n\ny"', '"1,5"', '"yes, no"'}
 
 
 @st.composite
@@ -779,25 +779,49 @@ class TestAgainstRowReference:
         with mock.patch.object(dataset_module, "_BLOCK_ROWS", 3):
             assert load_outcome(load_dataset, path, **kwargs) == expected
 
-    def test_plain_file_reads_only_header_and_lead_with_csv_reader(self, tmp_path):
+    @staticmethod
+    def write_plain(path, empty_every=None):
+        """A 10k-row file of cells numpy reads as csv.reader does; with
+        empty_every, every empty_every-th row has an empty McCC cell, the
+        lead row's excepted."""
         rng = np.random.default_rng(3)
         counts = np.where(rng.random(10_000) < 0.2, rng.integers(1, 5, 10_000), 0)
-        path = tmp_path / "plain.csv"
         with path.open("w", encoding="utf-8") as fh:
             fh.write("id,LOC,McCC,Defective,defect_count\n")
             fh.writelines(
-                f"m{i}, {rng.integers(1, 900)},{rng.lognormal(1.0, 1.0):.3f},{'Y' if c else 'n'},{c}\n"
+                f"m{i}, {rng.integers(1, 900)},"
+                f"{'' if empty_every and i % empty_every == empty_every - 1 else f'{rng.lognormal(1.0, 1.0):.3f}'},"
+                f"{'Y' if c else 'n'},{c}\n"
                 for i, c in enumerate(counts.tolist())
             )
+        return path
+
+    @staticmethod
+    def load_counting_csv_reader_lines(path):
+        """load_outcome of load_dataset, and the lines csv.reader read."""
         lines_read, csv_reader = [], csv.reader
 
         def reader(lines):
             return csv_reader(line for line in lines if not lines_read.append(line))
 
         with mock.patch.object(csv, "reader", reader):
-            outcome = load_outcome(load_dataset, path)
-        assert len(lines_read) == 2  # the header and the lead record
+            return load_outcome(load_dataset, path), len(lines_read)
+
+    def test_plain_file_reads_only_header_and_lead_with_csv_reader(self, tmp_path):
+        path = self.write_plain(tmp_path / "plain.csv")
+        outcome, lines_read = self.load_counting_csv_reader_lines(path)
+        assert lines_read == 2  # the header and the lead record
         assert len(outcome[0][0]) == 10_000 and outcome[1] == []
+        assert outcome == load_outcome(row_reference, path)
+
+    def test_unreadable_number_cell_leaves_its_block_to_numpy(self, tmp_path):
+        path = self.write_plain(tmp_path / "plain.csv", empty_every=1000)
+        outcome, lines_read = self.load_counting_csv_reader_lines(path)
+        # the header and the lead record, then each rejected row alone, for its message
+        assert lines_read == 2 + 10
+        assert len(outcome[0][0]) == 9_990
+        assert outcome[1][0] == (
+            DataQualityWarning, "plain.csv: row 1001: measure 'McCC' value '' is not a finite number; row rejected")
         assert outcome == load_outcome(row_reference, path)
 
     @pytest.mark.parametrize("last", ["x,1,N", '"x",1,N'])
@@ -811,6 +835,24 @@ class TestAgainstRowReference:
         assert caught == [
             (DataQualityWarning, "t.csv: row 3: measure 'LOC' value '3\\x1c' is not a finite number; row rejected")
         ]
+
+    def test_block_of_empty_lines_loads_without_a_numpy_warning(self, tmp_path):
+        # One column, so an empty line has the header's field count.
+        path = write(tmp_path / "t.csv", "Defective\nY\n\n\n\nN\n")
+        with mock.patch.object(dataset_module, "_BLOCK_ROWS", 3):
+            outcome = load_outcome(load_dataset, path)
+        assert outcome == ((("1", "2"), [True, False], {}, None), [])
+        assert outcome == load_outcome(row_reference, path)
+
+    def test_label_column_listed_as_a_measure_is_read_both_ways(self, tmp_path):
+        # The sidecar makes the label and count columns measures too, so
+        # numpy reads the label as text, and float() reads its numbers.
+        path = write(tmp_path / "t.csv", "id,LOC,Defective,bugs\na,1,1,1\nb,2,0,0\nc,3, 1 ,2\nd,4,x,0\ne,5,0,0\n")
+        (tmp_path / "t.schema.json").write_text(json.dumps({"measures": ["LOC", "Defective", "bugs"], "count": "bugs"}))
+        with mock.patch.object(dataset_module, "_BLOCK_ROWS", 2):
+            outcome = load_outcome(load_dataset, path)
+        assert outcome[0][2]["Defective"] == np.array([1.0, 0.0, 1.0, 0.0]).tobytes()
+        assert outcome == load_outcome(row_reference, path)
 
     @pytest.mark.parametrize("last", ["c,3,N", '"c",3,N'])
     def test_field_over_the_size_limit_fails_as_csv_reader_does(self, tmp_path, last):

@@ -102,6 +102,12 @@ class TestEvaluateSuite:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evaluate_suite(toy, toy_scores, drivers, budgets, policies=())
 
+    def test_zero_and_negative_zero_weights_are_one_driver(self, toy, toy_scores):
+        drivers = [EffortDriver(("LOC", "McCC"), 0.0), EffortDriver(("LOC", "McCC"), -0.0)]
+        assert drivers[1].name == "composite:LOC,McCC,0"
+        with pytest.raises(ValueError, match=r"^effort driver 'composite:LOC,McCC,0' given twice$"):
+            evaluate_suite(toy, toy_scores, drivers, [0.5])
+
     def test_unknown_policy(self, toy, toy_scores, loc_driver):
         with pytest.raises(ValueError, match="policy"):
             evaluate_suite(toy, toy_scores, [loc_driver], budgets=[], policies=("best",))
@@ -335,7 +341,8 @@ class TestDriverMemo:
         assert len(toy._memo) == _MEMO_DRIVERS
 
     def test_zero_and_negative_zero_weights_keep_their_names(self, toy, toy_scores):
-        # equal drivers, two names: each cell's curves carry its own name
+        # one driver, one name: the memo's parts built under either weight
+        # carry the name of both
         for weight in (0.0, -0.0, 0.0):
             drv = EffortDriver(measures=("LOC", "McCC"), weight=weight)
             cell = evaluate_suite(toy, toy_scores, [drv], [0.5]).cells[0]

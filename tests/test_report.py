@@ -1,9 +1,12 @@
 import csv
 import io
+from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eameval import report as report_module
 from eameval.curves import CostEfficiencyCurve
 from eameval.report import write_compare_csv, write_curve_csv
 
@@ -70,8 +73,24 @@ class TestCurveCsv:
         path = tmp_path_factory.mktemp("csv") / "c.csv"
         write_curve_csv(path, curve)
         header = [f"effort_fraction ({curve.driver})", f"benefit ({curve.policy})"]
-        assert path.read_bytes() == csv_reference(header, points(curve))
+        expected = csv_reference(header, points(curve))
+        assert path.read_bytes() == expected
         assert parsed_back(path) == points(curve)
+        # Writes of 3 rows put block boundaries inside every curve of 4 or more points.
+        with mock.patch.object(report_module, "_WRITE_ROWS", 3):
+            write_curve_csv(path, curve)
+        assert path.read_bytes() == expected
+
+    def test_long_curve_matches_the_csv_writer_reference(self, tmp_path):
+        # 10k points span several writes; the special fractions sit in the first.
+        rng = np.random.default_rng(7)
+        inner = np.sort(rng.random(9_995))
+        xs = [0.0, -0.0, 5e-324, 1e-05, *inner.tolist(), 1.0]
+        ys = [0.0, -0.0, 5e-324, 1e-05, *np.maximum(np.round(inner, 2), 1e-05).tolist(), 1.0]
+        curve = CostEfficiencyCurve(xs=xs, ys=ys, driver="LOC", policy="score", benefit="modules")
+        write_curve_csv(tmp_path / "c.csv", curve)
+        header = ["effort_fraction (LOC)", "benefit (score)"]
+        assert (tmp_path / "c.csv").read_bytes() == csv_reference(header, points(curve))
 
     @settings(max_examples=100, deadline=None)
     @given(several=st.lists(curves(), min_size=1, max_size=3))

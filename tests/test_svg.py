@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 
@@ -5,24 +6,54 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eameval.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, render_curves
+from eameval.svg import (
+    CELL_PX, HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, PLOT_H, PLOT_W, WIDTH, render_curves,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+# How far a curve point may lie from the drawn vertex nearest it: the
+# diagonal of a cell, plus the 2-decimal printing's rounding and some.
+REACH = CELL_PX * math.sqrt(2) + 0.01
+
+
+def canvas(xs, ys):
+    """Canvas coordinates of unit-square points, one point at a time."""
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    return [MARGIN_LEFT + x * plot_w for x in xs], [HEIGHT - MARGIN_BOTTOM - y * plot_h for y in ys]
 
 
 def point_reference(xs, ys):
-    """The per-point formatter the polyline points are defined by: each
-    point mapped to the canvas and printed to 2 decimals, one at a time."""
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    return [
-        f"{MARGIN_LEFT + x * plot_w:.2f},{HEIGHT - MARGIN_BOTTOM - y * plot_h:.2f}"
-        for x, y in zip(xs, ys)
-    ]
+    """Each curve point mapped to the canvas and printed to 2 decimals, one
+    at a time: the points a polyline draws are taken from these."""
+    return [f"{x:.2f},{y:.2f}" for x, y in zip(*canvas(xs, ys))]
 
 
-def without_repeats(points):
-    return [p for k, p in enumerate(points) if k == 0 or p != points[k - 1]]
+def farthest_from_drawn(points, xs, ys):
+    """The largest distance, in canvas px, from a curve point to the drawn
+    vertex nearest it; a vertex more than REACH away in x is never nearest
+    enough to count."""
+    drawn = np.array([p.split(",") for p in points], dtype=float)
+    drawn = drawn[np.argsort(drawn[:, 0], kind="stable")]
+    cx, cy = (np.array(c) for c in canvas(xs, ys))
+    lo = np.searchsorted(drawn[:, 0], cx - REACH)
+    hi = np.searchsorted(drawn[:, 0], cx + REACH, side="right")
+    window = lo[:, None] + np.arange(max(1, (hi - lo).max()))
+    near = np.minimum(window, len(drawn) - 1)
+    distance = np.hypot(drawn[near, 0] - cx[:, None], drawn[near, 1] - cy[:, None])
+    return np.where(window < hi[:, None], distance, np.inf).min(axis=1).max()
+
+
+def assert_drawn_by_the_cell_rule(points, xs, ys):
+    """What a polyline's points are pinned to: reference points in curve
+    order, the first and the last exact, no two consecutive alike, and
+    every curve point within REACH of one of them."""
+    reference = point_reference(xs, ys)
+    assert points[0] == reference[0] and points[-1] == reference[-1]
+    remaining = iter(reference)
+    assert all(point in remaining for point in points)  # a subsequence
+    assert all(a != b for a, b in zip(points, points[1:]))
+    assert farthest_from_drawn(points, xs, ys) <= REACH
 
 
 def polyline_points(path):
@@ -67,7 +98,7 @@ def monotone_curve(rng, n):
 class TestPolylinePoints:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 3000), min_size=1, max_size=3))
-    def test_points_are_the_reference_without_consecutive_repeats(self, tmp_path_factory, seed, sizes):
+    def test_points_follow_the_cell_rule(self, tmp_path_factory, seed, sizes):
         rng = np.random.default_rng(seed)
         curves = [monotone_curve(rng, n) for n in sizes]
         path = tmp_path_factory.mktemp("svg") / "c.svg"
@@ -75,18 +106,17 @@ class TestPolylinePoints:
         rendered = polyline_points(path)
         assert len(rendered) == len(curves)
         for points, (xs, ys) in zip(rendered, curves):
-            reference = point_reference(xs.tolist(), ys.tolist())
-            assert points == without_repeats(reference)
-            assert points[0] == reference[0] and points[-1] == reference[-1]
+            assert_drawn_by_the_cell_rule(points, xs.tolist(), ys.tolist())
 
     def test_dense_curve_drops_repeated_pixels(self, tmp_path):
-        # 100k points on a 560 x 386 px diagonal: 72401 distinct 2-decimal pairs
+        # 100k points on a 560 x 386 px diagonal, which crosses fewer than
+        # (560 + 386) / CELL_PX cells
         xs = np.linspace(0.0, 1.0, 100_001)
         render_curves(tmp_path / "d.svg", [("dense", xs, xs)], title="t")
         (points,) = polyline_points(tmp_path / "d.svg")
-        assert len(points) == 72401
+        assert len(points) <= (PLOT_W + PLOT_H) / CELL_PX + 2
         assert len(set(points)) == len(points)
-        assert points == without_repeats(point_reference(xs.tolist(), xs.tolist()))
+        assert_drawn_by_the_cell_rule(points, xs.tolist(), xs.tolist())
 
     def test_half_hundredth_ties_are_compared_as_text(self, tmp_path):
         # Canvas coordinates on and next to k.005, where %.2f rounds by the
@@ -104,19 +134,17 @@ class TestPolylinePoints:
         py = [y for _ in xs for y in ys for _ in range(2)]
         render_curves(tmp_path / "h.svg", [("ties", px, py)], title="t")
         (points,) = polyline_points(tmp_path / "h.svg")
-        reference = point_reference(px, py)
-        assert points == without_repeats(reference)
+        assert_drawn_by_the_cell_rule(points, px, py)
 
     def test_points_off_the_unit_square_are_compared_as_text(self, tmp_path):
         plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
         # Canvas x just either side of 0 prints as "-0.00" and "0.00".
         near_zero = [(c - MARGIN_LEFT) / plot_w for c in (-0.003, 0.003, -0.003, -0.001)]
-        # Near canvas x = 1e15, 100 * x no longer counts hundredths: neighbouring
-        # floats share rint(100 * x) yet print apart.
+        # Near canvas x = 1e15 a float's ulp is 0.125 px, half a cell.
         far = np.nextafter(1e15 / plot_w, np.inf) + np.arange(200) * np.spacing(1e15 / plot_w)
         xs = near_zero + far.tolist()
         ys = [0.5] * len(xs)
         render_curves(tmp_path / "o.svg", [("off", xs, ys)], title="t")
         (points,) = polyline_points(tmp_path / "o.svg")
         assert points[:3] == ["-0.00,235.00", "0.00,235.00", "-0.00,235.00"]
-        assert points == without_repeats(point_reference(xs, ys))
+        assert_drawn_by_the_cell_rule(points, xs, ys)
