@@ -33,6 +33,10 @@ _LABEL_CODES = {**dict.fromkeys(TRUE_SPELLINGS, 1), **dict.fromkeys(FALSE_SPELLI
 # are all it holds of the file at any time.
 _BLOCK_ROWS = 4096
 
+# How far a defect count cell may lie from a whole number and still be read
+# as that number.
+_COUNT_TOL = 1e-9
+
 # The most effort drivers whose parts one Dataset's memo keeps: past it the
 # oldest driver's are dropped, so a sweep over many composite weights keeps
 # at most this many drivers' arrays alive.
@@ -541,7 +545,7 @@ class _Table:
             raw = number_of(self.count_at)
             counts = np.round(raw) + 0.0  # + 0.0 turns -0.0 into 0.0, as int() does
             with np.errstate(invalid="ignore"):
-                good &= np.isfinite(raw) & (raw >= 0) & (np.abs(raw - counts) <= 1e-9)
+                good &= np.isfinite(raw) & (raw >= 0) & (np.abs(raw - counts) <= _COUNT_TOL)
             good &= (counts > 0) == (labels == 1)
             self.counts.append(counts[good])
         accepted = np.zeros(len(full_width), dtype=bool)
@@ -573,7 +577,7 @@ class _Table:
             if value < 0:
                 return f"measure {name!r} is negative"
         raw = _parse_finite(row[self.count_at])
-        if raw is None or raw < 0 or abs(raw - round(raw)) > 1e-9:
+        if raw is None or raw < 0 or abs(raw - round(raw)) > _COUNT_TOL:
             return f"defect count {row[self.count_at]!r} is not a non-negative integer"
         return f"defect count {int(round(raw))} contradicts label"
 
@@ -586,15 +590,37 @@ def save_dataset(d: Dataset, path) -> None:
     """Write a Dataset back to CSV so that load_dataset reproduces it exactly.
 
     Floats are written in their shortest round-trip form. The defect count
-    column is written only when the dataset carries counts.
+    column is written only when the dataset carries counts, each count as
+    the whole number load_dataset reads it as. A dataset the loader would
+    read back otherwise is a ValueError naming the first column or module
+    at fault, before anything is written: a measure name or module id with
+    surrounding whitespace (the loader strips both), a measure named like
+    the id, label or count column it writes, a defect count more
+    than _COUNT_TOL from a whole number, or a count that contradicts the
+    module's label.
     """
     path = Path(path)
+    for name in d.schema:
+        if name != name.strip():
+            raise ValueError(f"measure {name!r}: load_dataset strips the whitespace around a column name")
+        if name in ("id", "Defective") or name.lower() == "defect_count":
+            raise ValueError(f"measure {name!r}: load_dataset reads this column name as a role, not a measure")
+    for module_id in d.ids:
+        if module_id != module_id.strip():
+            raise ValueError(f"module {module_id!r}: load_dataset strips the whitespace around an id")
     with_counts = d.defect_counts is not None
     header = ["id", *d.schema, "Defective"] + (["defect_count"] if with_counts else [])
     columns = [d.ids, *(d.measures[name].tolist() for name in d.schema)]
     columns.append(["Y" if defective else "N" for defective in d.labels.tolist()])
     if with_counts:
-        columns.append(d.defect_counts.astype(int).tolist())
+        counts = np.round(d.defect_counts)
+        whole = np.abs(d.defect_counts - counts) <= _COUNT_TOL
+        bad = np.flatnonzero(~whole | ((counts > 0) != d.labels))
+        if bad.size:
+            k = bad[0]
+            problem = "is not a whole number" if not whole[k] else "contradicts the module's label"
+            raise ValueError(f"module {d.ids[k]!r}: defect count {float(d.defect_counts[k])!r} {problem}")
+        columns.append(counts.astype(int).tolist())
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -58,10 +58,15 @@ class EffortDriver:
 
     @property
     def name(self) -> str:
-        """Stable label used in reports, filenames, and curve-compatibility checks."""
+        """The driver's identity: parse_driver reads it back as this driver.
+        Used in reports, filenames, and curve-compatibility checks. A
+        composite weight is printed with :g (six significant digits) when
+        that text reads back as the same float, and with repr otherwise."""
         if not self.is_composite:
             return self.measures[0]
-        label = f"composite:{self.measures[0]},{self.measures[1]},{self.weight:g}"
+        weight = f"{self.weight:g}"
+        weight = weight if float(weight) == self.weight else repr(self.weight)
+        label = f"composite:{self.measures[0]},{self.measures[1]},{weight}"
         return label + ",minmax" if self.normalize else label
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .curves import (BENEFIT_MODES, INTERPOLATIONS, CostEfficiencyCurve, budget_reading,
                      cost_efficiency_curve, popt)
 from .dataset import Dataset, _check_choice, _frozen
-from .effort import EffortDriver, budget_label, check_budget, check_distinct
+from .effort import budget_label, check_budget, check_distinct
 from .metrics import (
     ClassificationMetrics,
     classification_metrics,
@@ -80,15 +80,15 @@ def evaluate_suite(
     None when the dataset has a single class (both classes are required for
     it to exist).
 
-    The score and density primary keys are built once per call. What
-    depends on the dataset and a driver alone is built once per dataset and
-    kept in its memo, so repeated calls on one dataset reuse it: the
-    driver's values, its tie positions in the tie_break's direction, and
-    the optimal ranking and its curve under the benefit, which that
-    driver's cells share, the "optimal" cell among them. Each budget's
-    cutoff and benefit are read off the cell curve, and its confusion
-    matrix by confusion_at_cutoff. Cells come policy by policy, each in
-    driver order.
+    The score and density primary keys are built once per call, and every
+    (ranking, curve) pair by one helper. What depends on the dataset and a
+    driver alone is built once per dataset and kept in its memo, so
+    repeated calls on one dataset reuse it: the driver's values, its tie
+    positions in each direction, and, as one entry per (driver, benefit),
+    the optimal ranking and its curve, which that driver's cells share, the
+    "optimal" cell among them. Each budget's cutoff and benefit are read
+    off the cell curve, and its confusion matrix by confusion_at_cutoff.
+    Cells come policy by policy, each in driver order.
     """
     drivers = tuple(drivers)
     policies = tuple(policies)
@@ -110,12 +110,14 @@ def evaluate_suite(
         if policy != "optimal":
             primary[policy] = _primary_key(policy, scores, d, norm)
 
+    def pair(ranking, drv):
+        return ranking, cost_efficiency_curve(ranking, drv, d, benefit=benefit)
+
     cells = {policy: [] for policy in policies}
     for drv in drivers if policies else ():
-        pairs = {"optimal": _optimal_pair(d, drv, benefit)}
+        pairs = {"optimal": d._driver_memo(drv, ("optimal", benefit), lambda: pair(optimal_ranking(d, drv), drv))}
         for policy, key in primary.items():
-            ranking = RankedList(_frozen(np.argsort(key + _ties(d, drv, tie_break))), policy)
-            pairs[policy] = ranking, cost_efficiency_curve(ranking, drv, d, benefit=benefit)
+            pairs[policy] = pair(RankedList(_frozen(np.argsort(key + _ties(d, drv, tie_break))), policy), drv)
         optimal_curve = pairs["optimal"][1]
         for policy in policies:
             ranking, curve = pairs[policy]
@@ -150,17 +152,6 @@ def evaluate_suite(
             "popt_interpolation": interpolation,
         },
     )
-
-
-def _optimal_pair(d: Dataset, drv: EffortDriver, benefit: str) -> tuple[RankedList, CostEfficiencyCurve]:
-    """The optimal ranking under a driver and its curve under a benefit,
-    built once per dataset."""
-
-    def build():
-        ranking = optimal_ranking(d, drv)
-        return ranking, cost_efficiency_curve(ranking, drv, d, benefit=benefit)
-
-    return d._driver_memo(drv, ("optimal", benefit), build)
 
 
 def _budget_results(ranking: RankedList, curve: CostEfficiencyCurve, d: Dataset,

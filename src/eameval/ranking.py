@@ -14,10 +14,11 @@ modules and 1 for clean ones. A tie position is a module's place in the
 stable ascending (or descending) order of the driver values' dense rank,
 or its dataset position. Keys stay below n**2, exact in int64 for n below
 3e9. _primary_key is the one home of each policy's key and _ties of the
-tie rule. What depends on the dataset and driver alone, a direction's tie
-positions and the optimal ranking, is built once per dataset and kept in
-its memo (Dataset._driver_memo); evaluate_suite builds each score or
-density key once per call.
+tie rule. A driver's tie positions in each direction depend on the
+dataset and driver alone: they are built once per dataset and kept in its
+memo (Dataset._driver_memo), as is evaluate_suite's optimal (ranking,
+curve) pair per benefit; evaluate_suite builds each score or density key
+once per call.
 """
 
 from __future__ import annotations
@@ -155,12 +156,8 @@ def optimal_ranking(d: Dataset, driver: EffortDriver | None) -> RankedList:
     Defective modules first in ascending driver value, then the clean ones
     in ascending driver value; ties by dataset order. With no driver, each
     group keeps dataset order. No other ordering finds more defective
-    modules within the effort of any of its prefixes. Under a driver it is
-    built once per dataset, and every later call returns the same ranking.
+    modules within the effort of any of its prefixes. Each call builds a
+    new RankedList; the driver's tie positions come from d's memo.
     """
-
-    def build():
-        key = _primary_key("optimal", None, d, None) + _ties(d, driver, "asc")
-        return RankedList(_frozen(np.argsort(key)), "optimal")
-
-    return build() if driver is None else d._driver_memo(driver, "optimal", build)
+    key = _primary_key("optimal", None, d, None) + _ties(d, driver, "asc")
+    return RankedList(_frozen(np.argsort(key)), "optimal")

@@ -313,6 +313,21 @@ class TestExitCodes:
         ]
         assert all((out / r["curve_csv"]).exists() for r in report["results"])
 
+    def test_near_equal_weights_each_get_a_curve_file(self, toy_csv, scores_csv, tmp_path):
+        out = tmp_path / "o"
+        code = run([
+            "evaluate", "--data", toy_csv, "--scores", scores_csv, "--score-match", "order",
+            "--effort", "composite:LOC,McCC,0.1234567", "--effort", "composite:LOC,McCC,0.1234568",
+            "--out-dir", out,
+        ])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [r["curve_csv"] for r in report["results"]] == [
+            "curves/toy_score_composite-LOC-McCC-0.1234567.csv",
+            "curves/toy_score_composite-LOC-McCC-0.1234568.csv",
+        ]
+        assert all((out / r["curve_csv"]).exists() for r in report["results"])
+
     def test_argparse_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["evaluate", "--nonsense"])

@@ -240,6 +240,14 @@ class TestPopt:
         with pytest.raises(ValueError, match="driver"):
             popt(model, wrong)
 
+    def test_near_equal_weights_are_another_driver(self, toy, toy_scores):
+        model_driver = EffortDriver(("LOC", "McCC"), 0.2)
+        optimal_driver = EffortDriver(("LOC", "McCC"), 0.2000001)
+        model = cost_efficiency_curve(rank("score", toy_scores, toy, model_driver), model_driver, toy)
+        near = cost_efficiency_curve(optimal_ranking(toy, optimal_driver), optimal_driver, toy)
+        with pytest.raises(ValueError, match="driver mismatch"):
+            popt(model, near)
+
     def test_second_argument_must_be_optimal(self, toy_curves):
         model, _ = toy_curves
         with pytest.raises(ValueError, match="optimal"):

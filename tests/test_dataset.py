@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -436,6 +437,33 @@ class TestRoundTrip:
         d = build_dataset({"LOC": [1.5, 2.25]}, [True, False], counts=[4, 0])
         save_dataset(d, tmp_path / "c.csv")
         assert tuple(load_dataset(tmp_path / "c.csv").defect_counts) == (4.0, 0.0)
+
+    def test_count_within_the_tolerance_is_saved_as_its_whole_number(self, tmp_path):
+        d = build_dataset({"LOC": [1.0, 2.0]}, [True, False], counts=[2.9999999999, 0.0])
+        save_dataset(d, tmp_path / "c.csv")
+        assert tuple(load_dataset(tmp_path / "c.csv").defect_counts) == (3.0, 0.0)
+
+    @pytest.mark.parametrize("ids, measures, labels, counts, message", [
+        (("a", "b"), {"LOC": [1.0, 2.0]}, [True, False], [1.5, 0.0],
+         "module 'a': defect count 1.5 is not a whole number"),
+        (("a", "b"), {"LOC": [1.0, 2.0]}, [True, False], [1.0, 3.0],
+         "module 'b': defect count 3.0 contradicts the module's label"),
+        ((" a", "b "), {"LOC": [1.0, 2.0]}, [True, False], None,
+         "module ' a': load_dataset strips the whitespace around an id"),
+        (("a", "b"), {"LOC ": [1.0, 2.0]}, [True, False], None,
+         "measure 'LOC ': load_dataset strips the whitespace around a column name"),
+        (("a", "b"), {"LOC": [1.0, 2.0], "Defect_Count": [1.0, 0.0]}, [True, False], None,
+         "measure 'Defect_Count': load_dataset reads this column name as a role, not a measure"),
+        (("a", "b"), {"Defective": [1.0, 2.0]}, [True, False], None,
+         "measure 'Defective': load_dataset reads this column name as a role, not a measure"),
+    ], ids=["fractional-count", "count-contradicts-label", "padded-id", "padded-measure-name",
+            "measure-read-as-counts", "measure-named-as-the-label"])
+    def test_refuses_what_would_load_back_otherwise(self, tmp_path, ids, measures, labels, counts, message):
+        d = Dataset(ids=ids, labels=labels, measures=measures, defect_counts=counts)
+        path = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_dataset(d, path)
+        assert not path.exists()
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -63,8 +63,25 @@ class TestParseDriver:
             parse_driver(text)
 
     def test_name_round_trips(self):
-        for text in ("LOC", "composite:A,B,0.25", "composite:A,B,0.25,minmax"):
+        for text in ("LOC", "composite:A,B,0.25", "composite:A,B,0.25,minmax",
+                     "composite:A,B,0.1234567", "composite:A,B,0.1234568", "composite:A,B,0.3333333333333333"):
             assert parse_driver(parse_driver(text).name).name == text
+
+    # a measure name a loaded header can hold, which parse_driver reads as one
+    MEASURE = st.text(min_size=1).filter(
+        lambda name: "," not in name and name == name.strip() and not name.startswith("composite:"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        measures=st.lists(MEASURE, min_size=1, max_size=2),
+        weight=st.floats(0, 1) | st.sampled_from([-0.0, 1 / 3, 0.1234567]),
+        normalize=st.booleans(),
+    )
+    def test_name_is_the_driver(self, measures, weight, normalize):
+        composite = len(measures) == 2
+        drv = EffortDriver(tuple(measures), weight if composite else None, normalize and composite)
+        assert parse_driver(drv.name) == drv
+        assert parse_driver(drv.name).name == drv.name
 
 
 class TestModuleEffort:

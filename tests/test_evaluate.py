@@ -108,6 +108,11 @@ class TestEvaluateSuite:
         with pytest.raises(ValueError, match=r"^effort driver 'composite:LOC,McCC,0' given twice$"):
             evaluate_suite(toy, toy_scores, drivers, [0.5])
 
+    def test_near_equal_weights_are_two_drivers(self, toy, toy_scores):
+        drivers = [EffortDriver(("LOC", "McCC"), 0.1234567), EffortDriver(("LOC", "McCC"), 0.1234568)]
+        report = evaluate_suite(toy, toy_scores, drivers, [0.5])
+        assert [c.driver for c in report.cells] == ["composite:LOC,McCC,0.1234567", "composite:LOC,McCC,0.1234568"]
+
     def test_unknown_policy(self, toy, toy_scores, loc_driver):
         with pytest.raises(ValueError, match="policy"):
             evaluate_suite(toy, toy_scores, [loc_driver], budgets=[], policies=("best",))
@@ -289,13 +294,17 @@ class TestDriverMemo:
             with pytest.raises(ValueError, match="unknown measure 'X'"):
                 optimal_ranking(toy, over_x)
 
-    def test_replace_starts_an_empty_memo(self, toy, loc_driver):
-        before = optimal_ranking(toy, loc_driver)
+    def test_replace_starts_an_empty_memo(self, toy, toy_scores, loc_driver):
+        def optimal_curve():
+            return evaluate_suite(toy, toy_scores, [loc_driver], [], ("optimal",)).cells[0].optimal_curve
+
+        ties, before = _ties(toy, loc_driver, "asc"), optimal_curve()
         assert driver_values(loc_driver, toy).tolist() == [10.0, 20.0, 30.0, 40.0, 100.0]
         mirrored = replace(toy, measures={"LOC": [100.0, 40.0, 30.0, 20.0, 10.0]})
         assert driver_values(loc_driver, mirrored).tolist() == [100.0, 40.0, 30.0, 20.0, 10.0]
         assert optimal_ranking(mirrored, loc_driver).order.tolist() == [4, 2, 0, 3, 1]
-        assert optimal_ranking(toy, loc_driver) is before
+        assert _ties(toy, loc_driver, "asc") is ties
+        assert optimal_curve() is before
 
     def test_a_driver_that_raises_raises_every_time(self, toy, toy_scores):
         constant = replace(toy, measures={"LOC": [7.0] * 5, "McCC": [5.0, 1.0, 9.0, 2.0, 3.0]})
