@@ -9,7 +9,7 @@ optimal curve for the same driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,8 @@ class CostEfficiencyCurve:
     policy, and benefit mode are carried along so that curves are only ever
     compared when they actually describe the same experiment. The shape is
     checked here, vectorised, when the curve is built, and nowhere else.
+    A curve also keeps its area under each interpolation once Popt has
+    read it (see _polyline_area).
     """
 
     xs: np.ndarray
@@ -37,6 +39,7 @@ class CostEfficiencyCurve:
     driver: str
     policy: str
     benefit: str
+    _areas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         xs = _read_only(self.xs, float, np.size(self.xs), "effort fractions")
@@ -104,13 +107,19 @@ def pofb_at(curve: CostEfficiencyCurve, budget: float) -> float:
 
 
 def _polyline_area(curve: CostEfficiencyCurve, interpolation: str) -> float:
+    """The area under the curve, computed once per interpolation and kept
+    on the curve: the memo's optimal curve serves every Popt of its driver."""
     _check_choice("interpolation", interpolation, INTERPOLATIONS)
-    xs, ys = curve.xs, curve.ys
-    widths = np.diff(xs)
-    if interpolation == "linear":
-        return float(np.sum(widths * (ys[1:] + ys[:-1]) / 2.0))
-    # step: benefit holds at the last completed module until the next one finishes
-    return float(np.sum(widths * ys[:-1]))
+    if interpolation not in curve._areas:
+        xs, ys = curve.xs, curve.ys
+        widths = np.diff(xs)
+        if interpolation == "linear":
+            area = float(np.sum(widths * (ys[1:] + ys[:-1]) / 2.0))
+        else:
+            # step: benefit holds at the last completed module until the next one finishes
+            area = float(np.sum(widths * ys[:-1]))
+        curve._areas[interpolation] = area
+    return curve._areas[interpolation]
 
 
 def popt(

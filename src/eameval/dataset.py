@@ -108,8 +108,9 @@ class Dataset:
     def n(self) -> int:
         return len(self.ids)
 
-    @property
+    @functools.cached_property
     def num_defective(self) -> int:
+        """Counted once: the labels are read-only."""
         return int(np.count_nonzero(self.labels))
 
     @property

@@ -26,7 +26,10 @@ class EffortDriver:
     + (1 - weight) * second, combining the raw measure values; set
     normalize=True to min-max normalize each measure over the dataset
     before combining. measures may be any sequence of names but a bare
-    string; it is stored as a tuple.
+    string; it is stored as a tuple. A name that parse_driver would not
+    read back from the driver's name is rejected: an empty one, one with
+    surrounding whitespace, a composite part holding a comma, and a single
+    measure starting with "composite:".
     """
 
     measures: tuple[str, ...]
@@ -42,6 +45,14 @@ class EffortDriver:
                 raise ValueError(f"measure name must be a str, got {measure!r}")
         if len(self.measures) not in (1, 2):
             raise ValueError("driver needs one measure or two")
+        # each name must read back through parse_driver(self.name)
+        for measure in self.measures:
+            if not measure or measure != measure.strip():
+                raise ValueError(f"measure name {measure!r} is empty or has surrounding whitespace")
+            if self.is_composite and "," in measure:
+                raise ValueError(f"composite measure name {measure!r} holds a comma")
+        if not self.is_composite and self.measures[0].startswith("composite:"):
+            raise ValueError(f"single measure name {self.measures[0]!r} starts with 'composite:'")
         if self.is_composite != (self.weight is not None):
             raise ValueError("weight must be given exactly for composite drivers")
         if self.weight is not None and not 0.0 <= self.weight <= 1.0:

@@ -15,13 +15,9 @@ from .curves import (BENEFIT_MODES, INTERPOLATIONS, CostEfficiencyCurve, budget_
                      cost_efficiency_curve, popt)
 from .dataset import Dataset, _check_choice, _frozen
 from .effort import budget_label, check_budget, check_distinct
-from .metrics import (
-    ClassificationMetrics,
-    classification_metrics,
-    confusion_at_cutoff,
-    roc_auc,
-)
-from .ranking import POLICIES, TIE_BREAKS, RankedList, _primary_key, _ties, checked_scores, optimal_ranking
+from .metrics import ClassificationMetrics, _auc, classification_metrics, confusion_at_cutoff
+from .ranking import (POLICIES, TIE_BREAKS, RankedList, _primary_key, _score_groups, _ties, checked_scores,
+                      optimal_ranking)
 
 
 @dataclass(frozen=True)
@@ -80,15 +76,18 @@ def evaluate_suite(
     None when the dataset has a single class (both classes are required for
     it to exist).
 
-    The score and density primary keys are built once per call, and every
-    (ranking, curve) pair by one helper. What depends on the dataset and a
-    driver alone is built once per dataset and kept in its memo, so
-    repeated calls on one dataset reuse it: the driver's values, its tie
-    positions in each direction, and, as one entry per (driver, benefit),
-    the optimal ranking and its curve, which that driver's cells share, the
-    "optimal" cell among them. Each budget's cutoff and benefit are read
-    off the cell curve, and its confusion matrix by confusion_at_cutoff.
-    Cells come policy by policy, each in driver order.
+    Built once per call: the scores' tie groups (one sort, which both the
+    score key and the AUC read), the score and density primary keys, and
+    each cell curve's area; every (ranking, curve) pair is built by one
+    helper. What depends on the dataset and a driver alone is built once
+    per dataset and kept in its memo, so repeated calls on one dataset
+    reuse it: the driver's values, its tie positions in each direction,
+    and, as one entry per (driver, benefit), the optimal ranking and its
+    curve, which that driver's cells share, the "optimal" cell among them,
+    with the curve's area per interpolation. The defective count is
+    counted once per dataset. Each budget's cutoff and benefit are read off
+    the cell curve, and its confusion matrix by confusion_at_cutoff. Cells
+    come policy by policy, each in driver order.
     """
     drivers = tuple(drivers)
     policies = tuple(policies)
@@ -105,10 +104,13 @@ def evaluate_suite(
     if "density" in policies:
         d.measure_vector(norm)
 
+    groups = _score_groups(scores)  # the one sort of the scores: score key and AUC
+    auc = _auc(d, groups) if 0 < d.num_defective < d.n else None
     primary = {}  # an empty grid builds no key
     for policy in policies if drivers else ():
         if policy != "optimal":
-            primary[policy] = _primary_key(policy, scores, d, norm)
+            primary[policy] = _primary_key(policy, scores, d, norm, groups)
+    del groups  # the keys hold what the grid needs of it
 
     def pair(ranking, drv):
         return ranking, cost_efficiency_curve(ranking, drv, d, benefit=benefit)
@@ -133,7 +135,6 @@ def evaluate_suite(
                 )
             )
 
-    auc = roc_auc(scores, d) if 0 < d.num_defective < d.n else None
     return EvaluationReport(
         dataset_name=dataset_name,
         n=d.n,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .ranking import RankedList, checked_scores
+from .ranking import RankedList, _score_groups, checked_scores
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,12 @@ def roc_auc(scores, d: Dataset) -> float:
     The scores get the rankings' check: one per module, a NaN rejected with
     its module named.
     """
-    values = checked_scores(scores, d)
-    labels = d.labels
-    ap = int(labels.sum())
+    return _auc(d, _score_groups(checked_scores(scores, d)))
+
+
+def _auc(d: Dataset, groups: tuple[np.ndarray, np.ndarray]) -> float:
+    """roc_auc read off the scores' tie groups (ranking._score_groups)."""
+    ap = d.num_defective
     an = d.n - ap
     if ap == 0 or an == 0:
         raise ValueError("ROC AUC needs both defective and clean modules")
@@ -140,7 +143,7 @@ def roc_auc(scores, d: Dataset) -> float:
     # Tied scores share the average of the 1-based ranks they span: a tie
     # group ending at rank `end` with `count` members has rank
     # end - (count - 1) / 2. The ranks are half-integers, so their sum is exact.
-    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    group, counts = groups
     ranks = np.cumsum(counts) - (counts - 1) / 2.0
-    positive_rank_sum = float(ranks[group[labels]].sum())
+    positive_rank_sum = float(ranks[group[d.labels]].sum())
     return (positive_rank_sum - ap * (ap + 1) / 2.0) / (ap * an)

@@ -8,6 +8,7 @@ predictions. Both yield a ScoreVector aligned to dataset order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -298,7 +299,7 @@ def _parse_score_cell(cell: str) -> float | None:
 
 def _checked_score(cell: str, kind: str, filename: str, row: int, module_id: str) -> float:
     value = _parse_score_cell(cell)
-    if value is None or not np.isfinite(value):
+    if value is None or not math.isfinite(value):
         problem = f"non-numeric score {cell!r}"
     elif kind == "probability" and not 0.0 <= value <= 1.0:
         problem = f"probability score {value} out of [0, 1]"

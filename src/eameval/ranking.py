@@ -14,11 +14,13 @@ modules and 1 for clean ones. A tie position is a module's place in the
 stable ascending (or descending) order of the driver values' dense rank,
 or its dataset position. Keys stay below n**2, exact in int64 for n below
 3e9. _primary_key is the one home of each policy's key and _ties of the
-tie rule. A driver's tie positions in each direction depend on the
-dataset and driver alone: they are built once per dataset and kept in its
-memo (Dataset._driver_memo), as is evaluate_suite's optimal (ranking,
-curve) pair per benefit; evaluate_suite builds each score or density key
-once per call.
+tie rule. The score key is read off the scores' tie groups
+(_score_groups: one np.unique, ascending), which evaluate_suite also
+hands to the AUC, so a call sorts its scores once. A driver's tie
+positions in each direction depend on the dataset and driver alone: they
+are built once per dataset and kept in its memo (Dataset._driver_memo), as
+is evaluate_suite's optimal (ranking, curve) pair per benefit;
+evaluate_suite builds each score or density key once per call.
 """
 
 from __future__ import annotations
@@ -90,12 +92,26 @@ def _dense_rank(key: np.ndarray) -> np.ndarray:
     return np.unique(key, return_inverse=True)[1]
 
 
-def _primary_key(policy: str, scores: np.ndarray | None, d: Dataset, norm: str | None) -> np.ndarray:
+def _score_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scores' tie groups in ascending score order, from one sort: each
+    score's group (its dense rank; -0.0 and 0.0 share one) and each
+    group's size."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    return inverse, counts
+
+
+def _primary_key(policy: str, scores: np.ndarray | None, d: Dataset, norm: str | None,
+                 groups: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """A policy's primary sort key, times n: the dense rank of the negated
-    scores or densities, or 0 for defective modules and 1 for clean ones."""
+    scores or densities, or 0 for defective modules and 1 for clean ones.
+    The score key is read off groups, the scores' _score_groups, when given."""
     if policy == "optimal":
         return (~d.labels) * d.n
-    return _dense_rank(-(scores if policy == "score" else _density(scores, norm, d))) * d.n
+    if policy == "density":
+        return _dense_rank(-_density(scores, norm, d)) * d.n
+    inverse, counts = groups or _score_groups(scores)
+    # group k of K, counted from the lowest score, is dense rank K-1-k of -scores
+    return (len(counts) - 1 - inverse) * d.n
 
 
 def _ties(d: Dataset, driver: EffortDriver | None, tie_break: str) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,38 @@ class TestParseDriver:
         drv = EffortDriver(tuple(measures), weight if composite else None, normalize and composite)
         assert parse_driver(drv.name) == drv
         assert parse_driver(drv.name).name == drv.name
+
+    @pytest.mark.parametrize("measures, weight", [
+        (("a,b", "c"), 0.5),
+        (("c", "a,b"), 0.5),
+        (("composite:x,y,0.5",), None),
+        (("",), None),
+        ((" LOC",), None),
+        (("LOC", "McCC\t"), 0.5),
+    ])
+    def test_names_that_would_not_read_back_are_rejected(self, measures, weight):
+        bad = next(m for m in measures if m not in ("c", "LOC"))
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            EffortDriver(measures, weight)
+
+    def test_a_single_measure_may_hold_a_comma(self):
+        drv = EffortDriver(("a,b",))
+        assert parse_driver(drv.name) == drv
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        measures=st.lists(st.text(max_size=12) | st.sampled_from(["a,b", "composite:a,b,0.5", " a", "a\x1f"]),
+                          min_size=1, max_size=2),
+        weight=st.floats(0, 1),
+        normalize=st.booleans(),
+    )
+    def test_any_text_name_raises_or_reads_back(self, measures, weight, normalize):
+        composite = len(measures) == 2
+        try:
+            drv = EffortDriver(tuple(measures), weight if composite else None, normalize and composite)
+        except ValueError:
+            return
+        assert parse_driver(drv.name) == drv
 
 
 class TestModuleEffort:

@@ -14,8 +14,9 @@ from eameval.dataset import _MEMO_DRIVERS
 from eameval.effort import (EffortDriver, cumulative_effort_fractions, cutoff_from_fractions,
                             driver_values)
 from eameval.evaluate import evaluate_suite
-from eameval.metrics import classification_metrics, confusion_at_cutoff
-from eameval.ranking import POLICIES, TIE_BREAKS, _ties, optimal_ranking, rank
+from eameval.metrics import classification_metrics, confusion_at_cutoff, roc_auc
+from eameval.ranking import (POLICIES, TIE_BREAKS, _dense_rank, _primary_key, _score_groups, _ties, optimal_ranking,
+                             rank)
 from eameval.report import report_dict
 
 from conftest import build_dataset, random_instance
@@ -171,6 +172,71 @@ class TestSharedWork:
             assert second.optimal_curve is first.optimal_curve
         assert evaluate_suite(replace(toy), toy_scores, drivers, budgets=[0.5], policies=()).cells == ()
         assert calls == []
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_one_score_sort_per_call(self, toy, toy_scores, loc_driver, mccc_driver, monkeypatch, tie_break):
+        # the score key and the AUC read one np.unique of the scores; the
+        # drivers' sorts sit in the memo after the first call
+        grid = dict(budgets=[0.5], policies=("score", "optimal"), tie_break=tie_break)
+        evaluate_suite(toy, toy_scores, [loc_driver, mccc_driver], **grid)
+        sorted_values = []
+        unique = np.unique
+
+        def counting(values, *args, **kwargs):
+            sorted_values.append(values)
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        report = evaluate_suite(toy, toy_scores, [loc_driver, mccc_driver], **grid)
+        assert len(sorted_values) == 1
+        assert np.array_equal(sorted_values[0], toy_scores.values)
+        assert report.auc == roc_auc(toy_scores, toy)
+
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    def test_each_area_computed_once(self, toy, toy_scores, loc_driver, mccc_driver, monkeypatch, interpolation):
+        # an area is one np.diff of the curve's xs: once per cell curve, once
+        # per optimal curve per dataset, and none for it on a second call
+        diffed = []
+        diff = np.diff
+
+        def spying(values, *args, **kwargs):
+            diffed.append(values)
+            return diff(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "diff", spying)
+        grid = dict(budgets=[0.5], policies=("score", "density", "optimal"), interpolation=interpolation)
+        for call in range(2):
+            diffed.clear()
+            report = evaluate_suite(toy, toy_scores, [loc_driver, mccc_driver], **grid)
+            for cell in report.cells:
+                expected = int(cell.policy != "optimal" or call == 0)
+                assert sum(xs is cell.curve.xs for xs in diffed) == expected
+
+    def test_defective_count_follows_the_labels(self, toy):
+        assert toy.num_defective == 3
+        assert toy.with_measure("X", np.ones(toy.n)).num_defective == 3
+        flipped = replace(toy, labels=~toy.labels)
+        assert flipped.num_defective == 2
+        assert flipped.with_measure("X", np.ones(toy.n)).num_defective == 2
+        assert replace(flipped, labels=np.ones(toy.n, dtype=bool)).num_defective == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-np.inf, -2.5, -0.0, 0.0, 0.25, 1.0, np.inf]), st.booleans()),
+                    min_size=1, max_size=12))
+    def test_shared_sort_is_exact(self, rows):
+        scores = np.array([s for s, _ in rows])
+        labels = [y for _, y in rows]
+        d = build_dataset({"LOC": np.arange(1.0, len(rows) + 1)}, labels)
+        assert np.array_equal(_primary_key("score", scores, d, None, _score_groups(scores)),
+                              _dense_rank(-scores) * d.n)
+        report = evaluate_suite(d, scores, [], [], policies=())
+        if 0 < sum(labels) < len(labels):
+            # reference: the same rank-sum AUC from a sort of its own
+            _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+            ranks = np.cumsum(counts) - (counts - 1) / 2.0
+            ap, an = sum(labels), len(labels) - sum(labels)
+            reference = (float(ranks[group[np.array(labels)]].sum()) - ap * (ap + 1) / 2.0) / (ap * an)
+            assert report.auc == roc_auc(scores, d) == reference
 
     @pytest.mark.parametrize("benefit", ["modules", "defects"])
     @pytest.mark.parametrize("interpolation", ["linear", "step"])

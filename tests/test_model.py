@@ -322,6 +322,13 @@ class TestImportScores:
         with pytest.raises(ValueError, match=r"row 3 \(module 'B'\): non-numeric score 'x'"):
             import_scores(path, toy, match="id")
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_score_rejected_as_non_numeric(self, tmp_path, toy, cell):
+        path = tmp_path / "s.csv"
+        path.write_text(f"0.9\n{cell}\n0.6\n0.4\n0.3\n")
+        with pytest.raises(ValueError, match=rf"^s.csv: row 2 \(module 'B'\): non-numeric score '{cell}'$"):
+            import_scores(path, toy, kind="raw", match="order")
+
     def test_out_of_range_score_in_order_mode_names_row_and_module(self, tmp_path, toy):
         path = tmp_path / "s.csv"
         path.write_text("score\n0.9\n1.5\n0.6\n0.4\n0.3\n")
