@@ -8,6 +8,7 @@ constant cost factor cancels everywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,13 @@ class EffortDriver:
     def is_composite(self) -> bool:
         return len(self.measures) == 2
 
-    @property
+    @functools.cached_property
     def name(self) -> str:
         """The driver's identity: parse_driver reads it back as this driver.
         Used in reports, filenames, and curve-compatibility checks. A
         composite weight is printed with :g (six significant digits) when
-        that text reads back as the same float, and with repr otherwise."""
+        that text reads back as the same float, and with repr otherwise.
+        Built once per driver: its fields are frozen."""
         if not self.is_composite:
             return self.measures[0]
         weight = f"{self.weight:g}"

@@ -9,15 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .curves import (BENEFIT_MODES, INTERPOLATIONS, CostEfficiencyCurve, budget_reading,
                      cost_efficiency_curve, popt)
 from .dataset import Dataset, _check_choice, _frozen
-from .effort import budget_label, check_budget, check_distinct
+from .effort import EffortDriver, budget_label, check_budget, check_distinct
 from .metrics import ClassificationMetrics, _auc, classification_metrics, confusion_at_cutoff
-from .ranking import (POLICIES, TIE_BREAKS, RankedList, _primary_key, _score_groups, _ties, checked_scores,
-                      optimal_ranking)
+from .ranking import (POLICIES, TIE_BREAKS, RankedList, _primary_key, _score_groups, _sorted, _ties,
+                      checked_scores, optimal_ranking)
 
 
 @dataclass(frozen=True)
@@ -78,13 +76,14 @@ def evaluate_suite(
 
     Built once per call: the scores' tie groups (one sort, which both the
     score key and the AUC read), the score and density primary keys, and
-    each cell curve's area; every (ranking, curve) pair is built by one
-    helper. What depends on the dataset and a driver alone is built once
-    per dataset and kept in its memo, so repeated calls on one dataset
-    reuse it: the driver's values, its tie positions in each direction,
-    and, as one entry per (driver, benefit), the optimal ranking and its
-    curve, which that driver's cells share, the "optimal" cell among them,
-    with the curve's area per interpolation. The defective count is
+    each cell curve's area; every ranking is one _sorted call and every
+    (ranking, curve) pair is built by one helper. What depends on the
+    dataset and a driver alone is built once per dataset and kept in its
+    memo, so repeated calls on one dataset reuse it: the driver's values,
+    its tie order in each direction, as one entry per (driver, benefit)
+    the optimal ranking and its curve, which that driver's cells share, the
+    "optimal" cell among them, with the curve's area per interpolation, and
+    the optimal ranking's metrics per cutoff. The defective count is
     counted once per dataset. Each budget's cutoff and benefit are read off
     the cell curve, and its confusion matrix by confusion_at_cutoff. Cells
     come policy by policy, each in driver order.
@@ -119,7 +118,7 @@ def evaluate_suite(
     for drv in drivers if policies else ():
         pairs = {"optimal": d._driver_memo(drv, ("optimal", benefit), lambda: pair(optimal_ranking(d, drv), drv))}
         for policy, key in primary.items():
-            pairs[policy] = pair(RankedList(_frozen(np.argsort(key + _ties(d, drv, tie_break))), policy), drv)
+            pairs[policy] = pair(RankedList(_frozen(_sorted(key, _ties(d, drv, tie_break))), policy), drv)
         optimal_curve = pairs["optimal"][1]
         for policy in policies:
             ranking, curve = pairs[policy]
@@ -131,7 +130,7 @@ def evaluate_suite(
                     curve=curve,
                     optimal_curve=optimal_curve,
                     popt=popt(curve, optimal_curve, interpolation=interpolation),
-                    budgets=_budget_results(ranking, curve, d, budgets),
+                    budgets=_budget_results(ranking, curve, d, budgets, drv if policy == "optimal" else None),
                 )
             )
 
@@ -155,17 +154,21 @@ def evaluate_suite(
     )
 
 
-def _budget_results(ranking: RankedList, curve: CostEfficiencyCurve, d: Dataset,
-                    budgets) -> tuple[BudgetResult, ...]:
+def _budget_results(ranking: RankedList, curve: CostEfficiencyCurve, d: Dataset, budgets,
+                    memo_driver: EffortDriver | None) -> tuple[BudgetResult, ...]:
+    """Each budget's cutoff, benefit and confusion-based metrics. With
+    memo_driver, ranking is that driver's optimal ranking, whose metrics at
+    a cutoff are kept in d's memo, keyed by the cutoff: budgets -0.0 and
+    0.0 share an entry but keep their own BudgetResult."""
+    def metrics_at(cutoff: int) -> ClassificationMetrics:
+        return classification_metrics(confusion_at_cutoff(ranking, d, cutoff))
+
     results = []
     for b in budgets:
         cutoff, value = budget_reading(curve, b)
-        results.append(
-            BudgetResult(
-                budget=b,
-                value=value,
-                cutoff=cutoff,
-                metrics=classification_metrics(confusion_at_cutoff(ranking, d, cutoff)),
-            )
-        )
+        if memo_driver is None:
+            metrics = metrics_at(cutoff)
+        else:
+            metrics = d._driver_memo(memo_driver, ("optimal", cutoff), lambda: metrics_at(cutoff))
+        results.append(BudgetResult(budget=b, value=value, cutoff=cutoff, metrics=metrics))
     return tuple(results)

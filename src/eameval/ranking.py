@@ -6,21 +6,22 @@ active effort driver (ascending by default; smaller modules first
 stretches a fixed budget over more modules), the optimal ranking always
 by ascending driver value.
 
-Every ranking is one np.argsort of the distinct integer keys primary * n +
-tie position, so the fast unstable sort gives the stable sorted order. A
-score or density primary is the dense rank (np.unique's inverse; -0.0 and
-0.0 share a rank) of the negated key, the optimal one is 0 for defective
-modules and 1 for clean ones. A tie position is a module's place in the
-stable ascending (or descending) order of the driver values' dense rank,
-or its dataset position. Keys stay below n**2, exact in int64 for n below
-3e9. _primary_key is the one home of each policy's key and _ties of the
-tie rule. The score key is read off the scores' tie groups
-(_score_groups: one np.unique, ascending), which evaluate_suite also
-hands to the AUC, so a call sorts its scores once. A driver's tie
-positions in each direction depend on the dataset and driver alone: they
-are built once per dataset and kept in its memo (Dataset._driver_memo), as
-is evaluate_suite's optimal (ranking, curve) pair per benefit;
-evaluate_suite builds each score or density key once per call.
+Every ranking, and every driver's tie order, is one _sorted call: a value
+sort of distinct int64 keys that pack a module's primary key above its
+place in the tie order, which gives exactly the stable sorted order with
+no argsort. A score or density primary is the dense rank (np.unique's
+inverse; -0.0 and 0.0 share a rank) of the negated key, the optimal one
+is 0 for defective modules and 1 for clean ones. A tie order lists the
+modules by the driver values' dense rank, ascending (or descending), ties
+in dataset order, or is the dataset order itself. _primary_key is the one
+home of each policy's key and _ties of the tie rule. The score key is
+read off the scores' tie groups (_score_groups: one np.unique,
+ascending), which evaluate_suite also hands to the AUC, so a call sorts
+its scores once. A driver's tie order in each direction depends on the
+dataset and driver alone: it is built once per dataset and kept in its
+memo (Dataset._driver_memo), as is evaluate_suite's optimal (ranking,
+curve) pair per benefit; evaluate_suite builds each score or density key
+once per call.
 """
 
 from __future__ import annotations
@@ -100,34 +101,49 @@ def _score_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse, counts
 
 
+def _sorted(primary: np.ndarray, tie_order: np.ndarray) -> np.ndarray:
+    """The modules of tie_order sorted by their primary key (integers from
+    0 to n - 1, such as a dense rank), those with equal keys kept in
+    tie_order's order.
+
+    Each key packs a module's primary above its place in tie_order, so the
+    keys are distinct and one value sort gives the stable order. They stay
+    below 2 * n**2: exact in int64 for n below 2**31."""
+    n = len(tie_order)
+    bits = (n - 1).bit_length()
+    keys = primary[tie_order]
+    keys <<= bits
+    keys |= np.arange(n)
+    keys.sort()
+    keys &= (1 << bits) - 1
+    return tie_order[keys]
+
+
 def _primary_key(policy: str, scores: np.ndarray | None, d: Dataset, norm: str | None,
                  groups: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """A policy's primary sort key, times n: the dense rank of the negated
-    scores or densities, or 0 for defective modules and 1 for clean ones.
-    The score key is read off groups, the scores' _score_groups, when given."""
+    """A policy's primary sort key: the dense rank of the negated scores
+    or densities, or 0 for defective modules and 1 for clean ones. The
+    score key is read off groups, the scores' _score_groups, when given."""
     if policy == "optimal":
-        return (~d.labels) * d.n
+        return (~d.labels).astype(np.intp)
     if policy == "density":
-        return _dense_rank(-_density(scores, norm, d)) * d.n
+        return _dense_rank(-_density(scores, norm, d))
     inverse, counts = groups or _score_groups(scores)
     # group k of K, counted from the lowest score, is dense rank K-1-k of -scores
-    return (len(counts) - 1 - inverse) * d.n
+    return len(counts) - 1 - inverse
 
 
 def _ties(d: Dataset, driver: EffortDriver | None, tie_break: str) -> np.ndarray:
-    """Each module's tie position: its dataset position with no driver or
-    under "input", else its position in the stable ascending ("asc") or
-    descending ("desc") order of the driver values' dense rank, built once
-    per direction and kept read-only in d's memo."""
+    """The modules in tie order: dataset order with no driver or under
+    "input", else ascending ("asc") or descending ("desc") by the driver
+    values' dense rank, ties in dataset order. A driver's order in each
+    direction is built once per dataset and kept read-only in d's memo."""
     if driver is None or tie_break == "input":
         return np.arange(d.n)
 
     def build():
         dense = _dense_rank(driver_values(driver, d))
-        order = np.argsort((dense if tie_break == "asc" else -dense) * d.n + np.arange(d.n))
-        positions = np.empty(d.n, dtype=np.intp)
-        positions[order] = np.arange(d.n)
-        return _frozen(positions)
+        return _frozen(_sorted(dense if tie_break == "asc" else dense.max() - dense, np.arange(d.n)))
 
     return d._driver_memo(driver, tie_break, build)
 
@@ -163,7 +179,7 @@ def rank(policy: str, scores, d: Dataset, driver: EffortDriver | None,
     if policy == "optimal":
         return optimal_ranking(d, driver)
     key = _primary_key(policy, scores, d, norm)
-    return RankedList(_frozen(np.argsort(key + _ties(d, driver, tie_break))), policy)
+    return RankedList(_frozen(_sorted(key, _ties(d, driver, tie_break))), policy)
 
 
 def optimal_ranking(d: Dataset, driver: EffortDriver | None) -> RankedList:
@@ -173,7 +189,7 @@ def optimal_ranking(d: Dataset, driver: EffortDriver | None) -> RankedList:
     in ascending driver value; ties by dataset order. With no driver, each
     group keeps dataset order. No other ordering finds more defective
     modules within the effort of any of its prefixes. Each call builds a
-    new RankedList; the driver's tie positions come from d's memo.
+    new RankedList; the driver's ascending tie order comes from d's memo.
     """
-    key = _primary_key("optimal", None, d, None) + _ties(d, driver, "asc")
-    return RankedList(_frozen(np.argsort(key)), "optimal")
+    key = _primary_key("optimal", None, d, None)
+    return RankedList(_frozen(_sorted(key, _ties(d, driver, "asc"))), "optimal")

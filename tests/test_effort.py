@@ -82,8 +82,11 @@ class TestParseDriver:
     def test_name_is_the_driver(self, measures, weight, normalize):
         composite = len(measures) == 2
         drv = EffortDriver(tuple(measures), weight if composite else None, normalize and composite)
+        twin = EffortDriver(tuple(measures), weight if composite else None, normalize and composite)
+        assert drv.name is drv.name  # built once per driver
         assert parse_driver(drv.name) == drv
         assert parse_driver(drv.name).name == drv.name
+        assert drv == twin and hash(drv) == hash(twin)  # the cached name is not a field
 
     @pytest.mark.parametrize("measures, weight", [
         (("a,b", "c"), 0.5),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eameval.effort as effort_module
+import eameval.evaluate as evaluate_module
 from eameval.curves import BENEFIT_MODES, INTERPOLATIONS, budget_reading, cost_efficiency_curve, pofb_at, popt
 from eameval.dataset import _MEMO_DRIVERS
 from eameval.effort import (EffortDriver, cumulative_effort_fractions, cutoff_from_fractions,
@@ -212,6 +213,36 @@ class TestSharedWork:
                 expected = int(cell.policy != "optimal" or call == 0)
                 assert sum(xs is cell.curve.xs for xs in diffed) == expected
 
+    def test_optimal_readings_once_per_dataset(self, toy, toy_scores, loc_driver, mccc_driver, monkeypatch):
+        # an optimal cell's metrics at a cutoff sit in the memo after the
+        # first call, whatever the benefit; the other cells read their own
+        policies = []
+        confusion = evaluate_module.confusion_at_cutoff
+
+        def counting(ranking, d, cutoff):
+            policies.append(ranking.policy)
+            return confusion(ranking, d, cutoff)
+
+        monkeypatch.setattr(evaluate_module, "confusion_at_cutoff", counting)
+        counted = replace(toy, defect_counts=[2.0, 0.0, 1.0, 0.0, 3.0])
+        drivers = [loc_driver, mccc_driver]
+        for call, benefit in enumerate(["modules", "modules", "defects"]):
+            policies.clear()
+            grid = dict(budgets=[0.0, 0.2, 0.5, 1.0], policies=("score", "optimal"), benefit=benefit)
+            report = evaluate_suite(counted, toy_scores, drivers, **grid)
+            assert policies.count("score") == 8
+            cutoffs = {(c.driver, b.cutoff) for c in report.cells if c.policy == "optimal" for b in c.budgets}
+            assert policies.count("optimal") == (len(cutoffs) if call == 0 else 0)
+            assert report_dict(report) == report_dict(evaluate_suite(replace(counted), toy_scores, drivers, **grid))
+
+    def test_signed_zero_budgets_keep_their_own_budget(self, toy, toy_scores, loc_driver):
+        # -0.0 and 0.0 are one cutoff in the memo but two budgets in the report
+        for _ in range(2):
+            report = evaluate_suite(toy, toy_scores, [loc_driver], [-0.0, 0.0], policies=("score", "optimal"))
+            for cell in report_dict(report)["results"]:
+                assert [repr(b["budget"]) for b in cell["budgets"]] == ["-0.0", "0.0"]
+                assert [b["cutoff"] for b in cell["budgets"]] == [0, 0]
+
     def test_defective_count_follows_the_labels(self, toy):
         assert toy.num_defective == 3
         assert toy.with_measure("X", np.ones(toy.n)).num_defective == 3
@@ -228,7 +259,7 @@ class TestSharedWork:
         labels = [y for _, y in rows]
         d = build_dataset({"LOC": np.arange(1.0, len(rows) + 1)}, labels)
         assert np.array_equal(_primary_key("score", scores, d, None, _score_groups(scores)),
-                              _dense_rank(-scores) * d.n)
+                              _dense_rank(-scores))
         report = evaluate_suite(d, scores, [], [], policies=())
         if 0 < sum(labels) < len(labels):
             # reference: the same rank-sum AUC from a sort of its own

@@ -14,6 +14,8 @@ from eameval.ranking import (
     POLICIES,
     TIE_BREAKS,
     RankedList,
+    _sorted,
+    _ties,
     optimal_ranking,
     rank,
 )
@@ -299,6 +301,46 @@ class TestRankingsMatchSortedReference:
             else:
                 expected = sorted_reference(keys[policy], values, tie_break)
             assert cell.ranking.order.tolist() == expected
+
+
+class TestSortedIsExact:
+    """_sorted packs (primary, place in the tie order) into one int64 per
+    module and value-sorts them; it must give the stable sorted order."""
+
+    SIZES = st.integers(1, 70) | st.sampled_from([2**k + j for k in range(7) for j in (0, 1)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=SIZES, tie_break=st.sampled_from(TIE_BREAKS))
+    def test_matches_the_sorted_reference(self, data, n, tie_break):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        primary = data.draw(st.sampled_from([
+            np.zeros(n, dtype=np.intp),              # all equal
+            rng.permutation(n).astype(np.intp),      # all distinct
+            rng.integers(0, n, n).astype(np.intp),   # up to n - 1
+        ]), label="primary")
+        effort = rng.integers(0, 3, n).astype(float)
+        d = build_dataset({"T": effort}, [True] * n)
+        tie_order = _ties(d, EffortDriver(measures=("T",)), tie_break)
+        direction = {"asc": 1, "desc": -1, "input": 0}[tie_break]
+        assert tie_order.tolist() == sorted(range(n), key=lambda i: (direction * effort[i], i))
+        place = np.empty(n, dtype=np.intp)
+        place[tie_order] = np.arange(n)
+
+        before = primary.copy()
+        order = _sorted(primary, tie_order)
+        assert order.tolist() == sorted(range(n), key=lambda i: (primary[i], place[i]))
+        assert np.array_equal(order, np.argsort(primary * n + place))  # one argsort of distinct keys
+        assert np.array_equal(primary, before)  # evaluate_suite shares one key among drivers
+
+    def test_bit_width_at_two_to_the_seventeen_plus_one(self):
+        n = 2**17 + 1  # n - 1 needs 18 bits: one fewer would mix the place into the primary
+        rng = np.random.default_rng(17)
+        primary = rng.integers(0, n, n).astype(np.intp)
+        primary[:2] = n - 1
+        tie_order = rng.permutation(n).astype(np.intp)
+        place = np.empty(n, dtype=np.intp)
+        place[tie_order] = np.arange(n)
+        assert np.array_equal(_sorted(primary, tie_order), np.lexsort((place, primary)))
 
 
 class TestRankedList:
