@@ -69,7 +69,8 @@ class Dataset:
     the final tie-breaking key for every ranking, so it must never be
     shuffled. The constructor is the one place the columns are checked: at
     least one module, unique ids (a repeat raises DuplicateIdError), equal
-    lengths, finite non-negative measures and defect counts. An array
+    lengths, finite non-negative measures and defect counts, and a positive
+    count, whole or not, exactly on the modules labelled defective. An array
     passed in that is already read-only and owns its data is shared, not
     copied; with_measure hands every existing column on to the new dataset
     and checks only the one it adds.
@@ -98,6 +99,10 @@ class Dataset:
         object.__setattr__(self, "measures", MappingProxyType(measures))
         if self.defect_counts is not None:
             counts = _checked_column("defect count", self.defect_counts, ids)
+            bad = np.flatnonzero((counts > 0) != self.labels)
+            if bad.size:
+                k = bad[0]
+                raise ValueError(f"module {ids[k]!r}: defect count {counts[k]} contradicts the module's label")
             object.__setattr__(self, "defect_counts", counts)
 
     @property
@@ -218,32 +223,33 @@ def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
         raise ValueError(f"{what} must be one of {choices}, got {value!r}")
 
 
-def _parse_finite(cell: str) -> float | None:
+def _float_or_nan(cell: str) -> float:
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return math.nan
 
 
 def _floats(cells) -> np.ndarray:
     """A column of cells parsed with float() in one call. When a cell is one
     float() cannot parse, the column is parsed again cell by cell, and its
-    unparseable and non-finite cells read NaN."""
+    unparseable cells read NaN."""
     try:
         return np.fromiter(map(float, cells), float, count=len(cells))
     except ValueError:
-        parsed = map(_parse_finite, cells)
-        return np.fromiter((math.nan if v is None else v for v in parsed), float, count=len(cells))
+        return np.fromiter(map(_float_or_nan, cells), float, count=len(cells))
 
 
-def _label_code(cell: str) -> int:
-    """1 for a true spelling, 0 for a false one, -1 for anything else."""
-    return _LABEL_CODES.get(cell.strip().lower(), -1)
+def _whole_counts(raw: np.ndarray):
+    """raw rounded to whole numbers (-0.0 as 0.0, as int() reads it), and where raw is within _COUNT_TOL of them."""
+    counts = np.round(raw) + 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return counts, np.abs(raw - counts) <= _COUNT_TOL
 
 
 def _label_codes(cells) -> np.ndarray:
-    code = {c: _label_code(c) for c in set(cells)}
+    """1 for a true spelling, 0 for a false one, -1 for anything else."""
+    code = {c: _LABEL_CODES.get(c.strip().lower(), -1) for c in set(cells)}
     return np.fromiter(map(code.__getitem__, cells), np.int8, count=len(cells))
 
 
@@ -528,26 +534,35 @@ class _Table:
         return True
 
     def _check(self, first, full_width, text_of, number_of, record) -> None:
-        """The column checks of one block, whichever reader parsed it.
+        """The row rules of one block, whichever reader parsed it.
         full_width marks the block's records of the header's width; text_of(i)
         is column i's cells of those records, and number_of(i) those cells as
         floats, NaN where float() cannot read one. record(k) is the cells of
-        the block's k-th record."""
+        the block's k-th record.
+
+        Each rule pairs the mask of the full-width records that pass it with
+        the reason, from the record r and its index j among them, that one
+        failing it gets. A rejected record is named by its field count or by
+        the first rule it fails."""
         labels = _label_codes(text_of(self.label_at))
-        good = labels >= 0
+        rules = [(labels >= 0, lambda r, j: f"unparseable label {r[self.label_at]!r}")]
         values = []
-        for j, (_, i) in enumerate(self.measures):
+        for j, (name, i) in enumerate(self.measures):
             column = number_of(i)
             finite = np.isfinite(column)
             self.seen_finite[j] = self.seen_finite[j] or bool(finite.any())
-            good &= finite & (column >= 0)
+            rules.append((finite, lambda r, j, m=name, i=i: f"measure {m!r} value {r[i]!r} is not a finite number"))
+            rules.append((column >= 0, lambda r, j, m=name: f"measure {m!r} is negative"))
             values.append(column)
         if self.count_at is not None:
             raw = number_of(self.count_at)
-            counts = np.round(raw) + 0.0  # + 0.0 turns -0.0 into 0.0, as int() does
-            with np.errstate(invalid="ignore"):
-                good &= np.isfinite(raw) & (raw >= 0) & (np.abs(raw - counts) <= _COUNT_TOL)
-            good &= (counts > 0) == (labels == 1)
+            counts, whole = _whole_counts(raw)
+            rules.append((np.isfinite(raw) & (raw >= 0) & whole,
+                          lambda r, j: f"defect count {r[self.count_at]!r} is not a non-negative integer"))
+            rules.append(((counts > 0) == (labels == 1),
+                          lambda r, j: f"defect count {int(counts[j])} contradicts label"))
+        good = np.logical_and.reduce([passed for passed, _ in rules])
+        if self.count_at is not None:
             self.counts.append(counts[good])
         accepted = np.zeros(len(full_width), dtype=bool)
         accepted[full_width] = good
@@ -561,26 +576,11 @@ class _Table:
             row = record(k)
             if _blank(row):
                 self.blank_rows.append(first + k)
+            elif not full_width[k]:
+                self.rejections.append((first + k, f"expected {self.width} fields, got {len(row)}"))
             else:
-                self.rejections.append((first + k, self.problem(row)))
-
-    def problem(self, row: list) -> str:
-        """Why a row is rejected: the first failed check, in the order field
-        count, label, each measure in column order, defect count."""
-        if len(row) != self.width:
-            return f"expected {self.width} fields, got {len(row)}"
-        if _label_code(row[self.label_at]) < 0:
-            return f"unparseable label {row[self.label_at]!r}"
-        for name, i in self.measures:
-            value = _parse_finite(row[i])
-            if value is None:
-                return f"measure {name!r} value {row[i]!r} is not a finite number"
-            if value < 0:
-                return f"measure {name!r} is negative"
-        raw = _parse_finite(row[self.count_at])
-        if raw is None or raw < 0 or abs(raw - round(raw)) > _COUNT_TOL:
-            return f"defect count {row[self.count_at]!r} is not a non-negative integer"
-        return f"defect count {int(round(raw))} contradicts label"
+                j = np.count_nonzero(full_width[:k])
+                self.rejections.append((first + k, next(why(row, j) for passed, why in rules if not passed[j])))
 
 
 def _column(parts) -> np.ndarray:
@@ -596,9 +596,9 @@ def save_dataset(d: Dataset, path) -> None:
     read back otherwise is a ValueError naming the first column or module
     at fault, before anything is written: a measure name or module id with
     surrounding whitespace (the loader strips both), a measure named like
-    the id, label or count column it writes, a defect count more
-    than _COUNT_TOL from a whole number, or a count that contradicts the
-    module's label.
+    the id, label or count column it writes, or a defect count more than
+    _COUNT_TOL from a whole number. A count that contradicts its module's
+    label cannot reach it: the Dataset constructor rejects it.
     """
     path = Path(path)
     for name in d.schema:
@@ -614,13 +614,11 @@ def save_dataset(d: Dataset, path) -> None:
     columns = [d.ids, *(d.measures[name].tolist() for name in d.schema)]
     columns.append(["Y" if defective else "N" for defective in d.labels.tolist()])
     if with_counts:
-        counts = np.round(d.defect_counts)
-        whole = np.abs(d.defect_counts - counts) <= _COUNT_TOL
-        bad = np.flatnonzero(~whole | ((counts > 0) != d.labels))
+        counts, whole = _whole_counts(d.defect_counts)
+        bad = np.flatnonzero(~whole)
         if bad.size:
             k = bad[0]
-            problem = "is not a whole number" if not whole[k] else "contradicts the module's label"
-            raise ValueError(f"module {d.ids[k]!r}: defect count {float(d.defect_counts[k])!r} {problem}")
+            raise ValueError(f"module {d.ids[k]!r}: defect count {d.defect_counts[k]} is not a whole number")
         columns.append(counts.astype(int).tolist())
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -9,6 +9,7 @@ reading. Undefined metrics stay null (JSON) or empty (CSV).
 from __future__ import annotations
 
 import csv
+import io
 import json
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -115,29 +116,29 @@ def write_tables_csv(path, report: EvaluationReport) -> None:
 _WRITE_ROWS = 4096
 
 
-def _point_cells(curve: CostEfficiencyCurve):
-    """The x texts and the y texts of a curve's points, the xs lazily."""
+def _write_points(fh, curve: CostEfficiencyCurve, lead: str = "") -> None:
+    """A curve's points as CSV rows x,y after the text lead, _WRITE_ROWS rows per write."""
     # Shortest round-trip reprs: a curve CSV reproduces every point exactly.
+    # A float repr needs no quoting, unlike a driver name: csv.writer's bytes.
     # ys take few distinct values; each bit pattern (-0.0 too) is repr'd once.
     bits, index = np.unique(curve.ys.view(np.int64), return_inverse=True)
     texts = np.array([repr(y) for y in bits.view(float).tolist()], dtype=object)
-    return map(repr, curve.xs.tolist()), texts[index].tolist()
+    cells = zip(repeat(lead), map(repr, curve.xs.tolist()), repeat(","), texts[index].tolist(), repeat("\r\n"))
+    for block in iter(lambda: "".join(chain.from_iterable(islice(cells, _WRITE_ROWS))), ""):
+        fh.write(block)
 
 
 def write_curve_csv(path, curve: CostEfficiencyCurve) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow([f"effort_fraction ({curve.driver})", f"benefit ({curve.policy})"])
-        # A float repr needs no quoting, unlike a driver name: csv.writer's bytes.
-        xs, ys = _point_cells(curve)
-        cells = zip(xs, repeat(","), ys, repeat("\r\n"))
-        for block in iter(lambda: "".join(chain.from_iterable(islice(cells, _WRITE_ROWS))), ""):
-            fh.write(block)
+        _write_points(fh, curve)
 
 
 def write_compare_csv(path, curves) -> None:
     """Several curves in one long table: a (driver, policy, x, y) row per point."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["driver", "policy", "effort_fraction", "benefit"])
+        csv.writer(fh).writerow(["driver", "policy", "effort_fraction", "benefit"])
         for curve in curves:
-            writer.writerows((curve.driver, curve.policy, x, y) for x, y in zip(*_point_cells(curve)))
+            lead = io.StringIO()  # the driver and policy cells, quoted by csv.writer once per curve
+            csv.writer(lead).writerow([curve.driver, curve.policy, ""])
+            _write_points(fh, curve, lead.getvalue().removesuffix("\r\n"))

@@ -320,7 +320,7 @@ class TestBenefitModes:
             cost_efficiency_curve(ranking, loc_driver, toy, benefit="defects")
 
     def test_all_zero_counts_rejected(self, loc_driver):
-        d = build_dataset({"LOC": [10, 20]}, [True, False], counts=[0, 0])
+        d = build_dataset({"LOC": [10, 20]}, [False, False], counts=[0, 0])
         ranking = rank("score", np.array([0.9, 0.1]), d, None)
         with pytest.raises(ValueError, match="no defects recorded: benefit proportion is undefined"):
             cost_efficiency_curve(ranking, loc_driver, d, benefit="defects")

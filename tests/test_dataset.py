@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -258,6 +259,27 @@ class TestRowRejection:
             d = load_dataset(path, count_column="bugs")
         assert d.n == 2
 
+    @pytest.mark.parametrize("first_id", ["a", '"a"'], ids=["numpy-block", "csv-reader-block"])
+    def test_a_rejection_names_the_first_rule_the_row_fails(self, tmp_path, first_id):
+        # Row 3 fails the label and the measure rule, row 4 the whole-count
+        # and the count/label rule. The lead record is read with csv.reader
+        # either way; a quote in the block sends it to csv.reader as well.
+        path = write(tmp_path / "t.csv", f"id,LOC,Defective,bugs\nok,1,Y,1\n{first_id},-5,maybe,0\nb,3,N,1.5\n")
+        read_by_numpy, add_lines = [], dataset_module._Table.add_lines
+
+        def spy(table, lines, first):
+            read_by_numpy.append(add_lines(table, lines, first))
+            return read_by_numpy[-1]
+
+        with mock.patch.object(dataset_module._Table, "add_lines", spy):
+            (ids, *_), caught = load_outcome(load_dataset, path, count_column="bugs")
+        assert read_by_numpy == [first_id == "a"]
+        assert ids == ("ok",)
+        assert caught == [
+            (DataQualityWarning, "t.csv: row 3: unparseable label 'maybe'; row rejected"),
+            (DataQualityWarning, "t.csv: row 4: defect count '1.5' is not a non-negative integer; row rejected"),
+        ]
+
     def test_warning_names_the_file(self, tmp_path):
         path = write(tmp_path / "odd name.csv", "LOC,Defective\nbogus,Y\n1,Y\n")
         with pytest.warns(DataQualityWarning, match="odd name.csv"):
@@ -446,8 +468,6 @@ class TestRoundTrip:
     @pytest.mark.parametrize("ids, measures, labels, counts, message", [
         (("a", "b"), {"LOC": [1.0, 2.0]}, [True, False], [1.5, 0.0],
          "module 'a': defect count 1.5 is not a whole number"),
-        (("a", "b"), {"LOC": [1.0, 2.0]}, [True, False], [1.0, 3.0],
-         "module 'b': defect count 3.0 contradicts the module's label"),
         ((" a", "b "), {"LOC": [1.0, 2.0]}, [True, False], None,
          "module ' a': load_dataset strips the whitespace around an id"),
         (("a", "b"), {"LOC ": [1.0, 2.0]}, [True, False], None,
@@ -456,7 +476,7 @@ class TestRoundTrip:
          "measure 'Defect_Count': load_dataset reads this column name as a role, not a measure"),
         (("a", "b"), {"Defective": [1.0, 2.0]}, [True, False], None,
          "measure 'Defective': load_dataset reads this column name as a role, not a measure"),
-    ], ids=["fractional-count", "count-contradicts-label", "padded-id", "padded-measure-name",
+    ], ids=["fractional-count", "padded-id", "padded-measure-name",
             "measure-read-as-counts", "measure-named-as-the-label"])
     def test_refuses_what_would_load_back_otherwise(self, tmp_path, ids, measures, labels, counts, message):
         d = Dataset(ids=ids, labels=labels, measures=measures, defect_counts=counts)
@@ -550,6 +570,25 @@ class TestDatasetApi:
         for column in (d.labels, d.defect_counts, d.measure_vector("LOC")):
             with pytest.raises(ValueError):
                 column[0] = 0
+
+
+class TestCountLabelAgreement:
+    @pytest.mark.parametrize("labels, counts, message", [
+        ([True, True], [2.0, 0.0], "module 'b': defect count 0.0 contradicts the module's label"),
+        ([False, False], [0.0, 5.0], "module 'b': defect count 5.0 contradicts the module's label"),
+    ], ids=["defective-with-count-0", "clean-with-count-5"])
+    def test_contradicting_count_rejected(self, labels, counts, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(ids=["a", "b"], labels=labels, measures={"LOC": [1.0, 2.0]}, defect_counts=counts)
+
+    def test_fractional_count_on_a_defective_module_accepted(self):
+        d = Dataset(ids=["a", "b"], labels=[True, False], measures={"LOC": [1.0, 2.0]}, defect_counts=[0.25, 0.0])
+        assert d.defect_counts.tolist() == [0.25, 0.0]
+
+    def test_replace_that_introduces_a_contradiction_rejected(self):
+        d = Dataset(ids=["a", "b"], labels=[True, False], measures={"LOC": [1.0, 2.0]}, defect_counts=[1.0, 0.0])
+        with pytest.raises(ValueError, match=r"^module 'a': defect count 1\.0 contradicts the module's label$"):
+            replace(d, labels=[False, False])
 
 
 class TestConstructor:

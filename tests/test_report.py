@@ -99,5 +99,9 @@ class TestCurveCsv:
         write_compare_csv(path, several)
         rows = [(c.driver, c.policy, x, y) for c in several for x, y in points(c)]
         header = ["driver", "policy", "effort_fraction", "benefit"]
-        assert path.read_bytes() == csv_reference(header, rows)
+        expected = csv_reference(header, rows)
+        assert path.read_bytes() == expected
         assert parsed_back(path) == [(x, y) for *_, x, y in rows]
+        with mock.patch.object(report_module, "_WRITE_ROWS", 3):
+            write_compare_csv(path, several)
+        assert path.read_bytes() == expected
