@@ -130,14 +130,28 @@ def _parse_drivers(args) -> list:
     return drivers
 
 
-def _prepare(args):
-    """Load the dataset and produce scores, once every flag has been checked."""
+def _read_measures(args, names, drivers) -> list:
+    """The measure columns the flags read, in the order they are looked up:
+    each predictor (the parts of an A/B ratio, which is derived), the norm
+    of density ranking, then each driver's measures."""
+    read = [part for name in names for part in name.split("/") if part]
+    if args.rank == "density":
+        read.append(args.norm)
+    read.extend(measure for drv in drivers for measure in drv.measures)
+    derived = {name for name in names if "/" in name}
+    return [name for name in read if name not in derived]
+
+
+def _prepare(args, drivers):
+    """Load the measures the flags read and produce scores, once every flag
+    has been checked."""
     if (args.predictors is None) == (args.scores is None):
         raise UsageError("exactly one of --predictors or --scores is required")
     names = [p.strip() for p in (args.predictors or "").split(",") if p.strip()]
     if args.predictors is not None and not names:
         raise UsageError("--predictors is empty")
-    d = load_dataset(args.data, label_column=args.label_col, count_column=args.count_col)
+    d = load_dataset(args.data, label_column=args.label_col, count_column=args.count_col,
+                     keep=_read_measures(args, names, drivers))
     if args.predictors is not None:
         for name in names:
             if "/" in name:
@@ -161,7 +175,7 @@ def _prepare(args):
 
 def _evaluate(args, drivers, budgets):
     """The one evaluation grid for the flags: the chosen policy under every driver."""
-    d, scores, model = _prepare(args)
+    d, scores, model = _prepare(args, drivers)
     return evaluate_suite(
         d, scores, drivers, budgets, policies=[args.rank], norm=args.norm,
         tie_break=args.tie_break, benefit=args.benefit, interpolation=args.popt_interp,

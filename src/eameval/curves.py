@@ -132,9 +132,12 @@ def popt(
     Areas are integrated trapezoidally; summing the trapezoid of every
     curve segment is exact for these piecewise-linear curves, so refining
     the x-grid cannot change the result. With "step" interpolation both
-    curves are read with whole-module semantics instead. The optimal curve
-    dominates every ranking's curve under the same driver, so the result
-    lies in [0, 1] and reaches 1 only when the curves coincide.
+    curves are read with whole-module semantics instead. Under
+    benefit="modules" the optimal curve dominates every ranking's curve
+    under the same driver, so the result lies in [0, 1] and reaches 1 only
+    when the curves coincide. Under benefit="defects" the optimal ranking
+    is not yet built for defect counts, so a model's curve can rise above
+    it and the result can exceed 1 (ROADMAP item 1).
     """
     if optimal_curve.policy != "optimal":
         raise ValueError("second argument must be an optimal-ranking curve")

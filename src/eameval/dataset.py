@@ -18,7 +18,7 @@ import json
 import math
 import threading
 import warnings
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -130,8 +130,7 @@ class Dataset:
     def measure_vector(self, name: str) -> np.ndarray:
         """Values of one measure in module order (a read-only array)."""
         if name not in self.measures:
-            available = ", ".join(self.schema)
-            raise ValueError(f"unknown measure {name!r}; available: {available}")
+            raise _unknown_measure(name, self.schema)
         return self.measures[name]
 
     def with_measure(self, name: str, values) -> "Dataset":
@@ -168,6 +167,11 @@ class Dataset:
                     del self._memo[next(iter(self._memo))]
                 parts = self._memo[driver] = {}
             return parts.setdefault(part, value)
+
+
+def _unknown_measure(name: str, available) -> ValueError:
+    """The error for a measure name that is not among the available ones."""
+    return ValueError(f"unknown measure {name!r}; available: {', '.join(available)}")
 
 
 def _check_unique(ids: tuple[str, ...]) -> None:
@@ -321,6 +325,7 @@ def load_dataset(
     path,
     label_column: str | None = None,
     count_column: str | None = None,
+    keep: Iterable[str] | None = None,
 ) -> Dataset:
     """Load a defect dataset from a CSV file.
 
@@ -331,7 +336,16 @@ def load_dataset(
     and every remaining column as a numeric measure. Blank records (no
     cell with text) are skipped.
     Without an id column, module ids are "1", "2", ... in file order,
-    counting the non-blank data records only.
+    counting the non-blank data records only. One column may hold one role
+    only: a column that is two of the label, count and id columns is an
+    error.
+
+    keep names the measure columns the Dataset stores, in header order; by
+    default it stores every one. Every measure column is parsed and checked
+    whatever keep names, so the accepted rows, the warnings and the errors
+    do not depend on it. The first name in keep that is not a measure
+    column is the error Dataset.measure_vector raises for it, raised once
+    the file has loaded.
 
     A "row" in a message is a CSV record number: the first record of the
     file is row 1, and blank records are counted. Module ids must be
@@ -354,6 +368,9 @@ def load_dataset(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
+    if isinstance(keep, str):
+        raise ValueError(f"keep must be a sequence of measure names, got the string {keep!r}")
+    keep = None if keep is None else tuple(keep)
 
     roles = _sidecar_roles(path)
     if label_column is None:
@@ -393,6 +410,10 @@ def load_dataset(
         if count_column is None:
             # the column name save_dataset emits, so saved files round-trip
             count_column = next((c for c in header if c.lower() == "defect_count"), None)
+        for (role, name), (other, other_name) in itertools.combinations(
+                (("label", label_column), ("count", count_column), ("id", id_column)), 2):
+            if name is not None and name == other_name:
+                raise ValueError(f"{path.name}: column {name!r} is both the {role} and the {other} column")
 
         # Columns the sidecar assigns a role stay excluded from the measure set
         # even when an explicit argument points the role elsewhere.
@@ -418,6 +439,7 @@ def load_dataset(
             count_at=col_index.get(count_column),
             id_at=col_index.get(id_column),
             measures=[(name, col_index[name]) for name in measure_columns],
+            stored=[c for c in measure_columns if keep is None or c in keep],
         )
         table.add(lead, header_row + 1)
         first = header_row + 1 + len(lead)  # row number of a block's first record
@@ -451,10 +473,10 @@ def load_dataset(
     else:
         ids = table.ids
     try:
-        return Dataset(
+        d = Dataset(
             ids=ids,
             labels=_column(table.labels),
-            measures={name: _column(parts) for name, parts in zip(measure_columns, table.columns)},
+            measures={name: _column(parts) for name, parts in table.columns.items()},
             defect_counts=None if table.count_at is None else _column(table.counts),
         )
     except DuplicateIdError as err:
@@ -462,6 +484,10 @@ def load_dataset(
         raise ValueError(
             f"{path.name}: duplicate module id {err.module_id!r} in rows {a} and {b}"
         ) from None
+    for name in keep or ():
+        if name not in measure_columns:
+            raise _unknown_measure(name, measure_columns)
+    return d
 
 
 class _Table:
@@ -469,18 +495,19 @@ class _Table:
 
     width is the header's length; label_at, count_at and id_at are the
     positions of the role columns (count_at and id_at may be None), and
-    measures holds a (name, position) pair per measure column. Each block's
-    accepted rows extend rows (their row numbers), ids, labels, counts and
-    one part list per measure column; its rejected rows go to rejections as
-    (row number, reason), or to blank_rows when they hold no text.
+    measures holds a (name, position) pair per measure column, every one of
+    which is checked. Each block's accepted rows extend rows (their row
+    numbers), ids, labels, counts and, in columns, one part list per measure
+    named in stored; its rejected rows go to rejections as (row number,
+    reason), or to blank_rows when they hold no text.
     """
 
-    def __init__(self, width: int, label_at: int, count_at, id_at, measures) -> None:
+    def __init__(self, width: int, label_at: int, count_at, id_at, measures, stored) -> None:
         self.width, self.label_at, self.count_at, self.id_at = width, label_at, count_at, id_at
         self.measures = measures
         self.seen_finite = [False] * len(measures)
         self.rows, self.ids, self.labels, self.counts = [], [], [], []
-        self.columns = [[] for _ in measures]
+        self.columns = {name: [] for name in stored}
         self.rejections, self.blank_rows = [], []
         # One field per column add_lines reads, in column order: object keeps
         # a text cell exactly, NULs and whitespace included, and float parses
@@ -553,7 +580,8 @@ class _Table:
             self.seen_finite[j] = self.seen_finite[j] or bool(finite.any())
             rules.append((finite, lambda r, j, m=name, i=i: f"measure {m!r} value {r[i]!r} is not a finite number"))
             rules.append((column >= 0, lambda r, j, m=name: f"measure {m!r} is negative"))
-            values.append(column)
+            if name in self.columns:
+                values.append((self.columns[name], column))
         if self.count_at is not None:
             raw = number_of(self.count_at)
             counts, whole = _whole_counts(raw)
@@ -570,7 +598,7 @@ class _Table:
         if self.id_at is not None:
             self.ids.extend(map(str.strip, itertools.compress(text_of(self.id_at), good.tolist())))
         self.labels.append(labels[good] == 1)
-        for parts, column in zip(self.columns, values):
+        for parts, column in values:
             parts.append(column[good])
         for k in np.flatnonzero(~accepted).tolist():
             row = record(k)

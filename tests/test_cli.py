@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import eameval
+import eameval.cli as cli_module
 import eameval.selftest as selftest_module
 from eameval.cli import build_parser, main
 from eameval.curves import BENEFIT_MODES, INTERPOLATIONS
@@ -332,6 +337,101 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["evaluate", "--nonsense"])
         assert exc.value.code == 2
+
+
+# The toy plus two measures that no flag below reads, Halstead and churn.
+WIDE_TOY_CSV = (
+    "id,LOC,Halstead,McCC,churn,Defective\n"
+    "A,10,7,5,1,Y\n"
+    "B,20,3,1,0,N\n"
+    "C,30,8,9,4,Y\n"
+    "D,40,2,2,0,N\n"
+    "E,100,5,3,2,Y\n"
+)
+
+
+class TestReadMeasures:
+    """The CLI stores only the measures its flags read, and checks them all."""
+
+    @pytest.fixture
+    def wide_csv(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(WIDE_TOY_CSV)
+        return path
+
+    def test_loads_the_read_measures_then_derives_the_ratio(self, wide_csv, tmp_path, monkeypatch):
+        loaded, fitted = [], []
+        load, fit = cli_module.load_dataset, cli_module.fit_blr
+        monkeypatch.setattr(cli_module, "load_dataset", lambda *a, **k: loaded.append(load(*a, **k)) or loaded[-1])
+        monkeypatch.setattr(cli_module, "fit_blr", lambda d, names: fitted.append(d.schema) or fit(d, names))
+        with pytest.warns(Warning):  # separable, as the toy is
+            code = run([
+                "evaluate", "--data", wide_csv, "--predictors", "LOC,McCC/LOC",
+                "--effort", "LOC", "--effort", "McCC", "--out-dir", tmp_path / "o",
+            ])
+        assert code == 0
+        assert loaded[0].schema == ("LOC", "McCC")
+        assert fitted == [("LOC", "McCC", "McCC/LOC")]
+
+    @pytest.mark.parametrize("flags", [
+        ["--scores", "SCORES", "--score-match", "order", "--effort", "Foo"],
+        ["--predictors", "Foo"],
+        ["--predictors", "Foo/LOC"],
+        ["--scores", "SCORES", "--score-match", "order", "--rank", "density", "--norm", "Foo"],
+    ], ids=["effort", "predictor", "ratio-part", "density-norm"])
+    def test_unknown_measure_lists_every_measure_of_the_file(self, flags, wide_csv, scores_csv, tmp_path, capsys):
+        flags = [scores_csv if flag == "SCORES" else flag for flag in flags]
+        code = run(["evaluate", "--data", wide_csv, *flags, "--out-dir", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown measure 'Foo'; available: LOC, Halstead, McCC, churn\n"
+
+    def test_norm_unread_by_score_ranking_may_be_unknown(self, wide_csv, scores_csv, tmp_path):
+        code = run([
+            "evaluate", "--data", wide_csv, "--scores", scores_csv, "--score-match", "order",
+            "--rank", "score", "--norm", "Foo", "--out-dir", tmp_path / "o",
+        ])
+        assert code == 0
+
+    def test_file_column_named_like_a_ratio_is_replaced_by_the_ratio(self, toy_csv, tmp_path):
+        # the file's McCC/LOC column is checked, and the derived ratio used
+        named = tmp_path / "named.csv"
+        named.write_text("".join(
+            line + (",McCC/LOC\n" if k == 0 else f",{k}\n")
+            for k, line in enumerate(TOY_CSV.splitlines())
+        ))
+        reports = []
+        for data in (toy_csv, named):
+            out = tmp_path / data.stem
+            with pytest.warns(Warning):  # separable, as the toy is
+                assert run(["evaluate", "--data", data, "--predictors", "LOC,McCC/LOC", "--out-dir", out]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert reports[0]["model"] == reports[1]["model"]
+
+    def test_row_bad_only_in_an_unread_measure_is_rejected(self, tmp_path):
+        data = tmp_path / "wide.csv"
+        data.write_text(WIDE_TOY_CSV.replace("C,30,8,", "C,30,x,"))
+        scores = tmp_path / "scores.csv"
+        scores.write_text("A,0.9\nB,0.8\nD,0.4\nE,0.3\n")
+        out = tmp_path / "o"
+        src = Path(eameval.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "eameval.cli", "evaluate", "--data", str(data), "--scores", str(scores),
+             "--effort", "LOC", "--out-dir", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert ("wide.csv: row 4: measure 'Halstead' value 'x' is not a finite number; row rejected"
+                in done.stderr)
+        assert json.loads((out / "report.json").read_text())["dataset"]["modules"] == 4
+
+    def test_column_with_two_roles_is_a_computation_error(self, toy_csv, scores_csv, tmp_path, capsys):
+        code = run([
+            "evaluate", "--data", toy_csv, "--scores", scores_csv, "--score-match", "order",
+            "--count-col", "Defective", "--out-dir", tmp_path / "o",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: toy.csv: column 'Defective' is both the label and the count column\n")
 
 
 class TestCompare:

@@ -224,6 +224,46 @@ class TestLoading:
         assert d.defect_counts is None
 
 
+class TestKeep:
+    WIDE = "id,LOC,McCC,Halstead,Defective\na,10,5,7,Y\nb,20,1,x,N\nc,30,9,2,Y\n"
+
+    def test_stores_the_kept_measures_in_header_order_and_checks_every_one(self, tmp_path):
+        path = write(tmp_path / "t.csv", self.WIDE)
+        with pytest.warns(DataQualityWarning, match="row 3: measure 'Halstead' value 'x'"):
+            d = load_dataset(path, keep=["McCC", "LOC"])
+        assert d.schema == ("LOC", "McCC")
+        assert d.ids == ("a", "c")
+        assert d.measure_vector("McCC").tolist() == [5.0, 9.0]
+
+    def test_empty_keep_stores_no_measure(self, tmp_path):
+        path = write(tmp_path / "t.csv", BASIC)
+        d = load_dataset(path, keep=())
+        assert d.schema == ()
+        assert d.ids == ("a", "b", "c")
+
+    def test_unread_non_numeric_column_still_fatal(self, tmp_path):
+        path = write(tmp_path / "t.csv", "LOC,lang,Defective\n10,c,Y\n20,ada,N\n")
+        with pytest.raises(ValueError, match="non-numeric measure column 'lang'"):
+            load_dataset(path, keep=["LOC"])
+
+    def test_unknown_name_is_the_measure_vector_error(self, tmp_path):
+        path = write(tmp_path / "t.csv", BASIC)
+        with pytest.raises(ValueError) as lookup:
+            load_dataset(path).measure_vector("Foo")
+        with pytest.raises(ValueError) as load:
+            load_dataset(path, keep=["LOC", "Foo", "Bar"])
+        assert str(load.value) == str(lookup.value) == "unknown measure 'Foo'; available: LOC, McCC"
+
+    def test_unknown_name_reported_after_the_file_problems(self, tmp_path):
+        path = write(tmp_path / "t.csv", "LOC,Defective\n5,huh\n7,what\n")
+        with pytest.warns(DataQualityWarning), pytest.raises(ValueError, match="after filtering"):
+            load_dataset(path, keep=["Foo"])
+
+    def test_a_string_is_not_a_list_of_names(self, tmp_path):
+        with pytest.raises(ValueError, match="keep must be a sequence of measure names, got the string 'LOC'"):
+            load_dataset(write(tmp_path / "t.csv", BASIC), keep="LOC")
+
+
 class TestRowRejection:
     def test_unparseable_measure_drops_row(self, tmp_path):
         path = write(tmp_path / "t.csv", "LOC,Defective\n10,Y\nabc,N\n30,Y\n")
@@ -311,6 +351,23 @@ class TestFatalErrors:
     def test_duplicate_header(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate"):
             load_dataset(write(tmp_path / "t.csv", "LOC,LOC,Defective\n10,10,Y\n"))
+
+    # Each pair of roles on one column, named through the arguments (the id
+    # column by its automatic name) and through the sidecar.
+    @pytest.mark.parametrize("column, kwargs, roles, message", [
+        ("bugs", {"label_column": "bugs", "count_column": "bugs"}, None, "the label and the count"),
+        ("id", {"label_column": "id"}, None, "the label and the id"),
+        ("id", {"count_column": "id"}, None, "the count and the id"),
+        ("bugs", {}, {"label": "bugs", "count": "bugs"}, "the label and the count"),
+        ("bugs", {}, {"label": "bugs", "id": "bugs"}, "the label and the id"),
+        ("bugs", {}, {"count": "bugs", "id": "bugs"}, "the count and the id"),
+    ], ids=["label-count", "label-id", "count-id", "sidecar-label-count", "sidecar-label-id", "sidecar-count-id"])
+    def test_column_with_two_roles_rejected(self, column, kwargs, roles, message, tmp_path):
+        path = write(tmp_path / "t.csv", "id,LOC,bugs,Defective\na,10,1,Y\nb,20,0,N\n")
+        if roles:
+            (tmp_path / "t.schema.json").write_text(json.dumps(roles))
+        with pytest.raises(ValueError, match=rf"^t\.csv: column '{column}' is both {message} column$"):
+            load_dataset(path, **kwargs)
 
     def test_duplicate_module_id_names_id_and_both_rows(self, tmp_path):
         text = "id,LOC,Defective\na,10,Y\nb,20,N\nc,5,N\nb,30,Y\n"
@@ -772,7 +829,8 @@ NOT_PLAIN = {'"4"', '"N"', '"m{k}\nx"', '"m{k}\r\n\ny"', '"1,5"', '"yes, no"'}
 
 @st.composite
 def csv_files(draw):
-    """A random CSV dataset (text, sidecar roles, load_dataset kwargs)."""
+    """A random CSV dataset (text, sidecar roles, load_dataset kwargs, and
+    some of its measure columns in any order to keep)."""
     with_id = draw(st.booleans())
     # With no measure, id or count column a line is one field, and an empty
     # line has the header's comma count.
@@ -788,6 +846,8 @@ def csv_files(draw):
         roles["count"] = "n_bugs"
     if len(measures) > 1 and draw(st.booleans()):
         roles["measures"] = measures[1:]
+    stored = roles.get("measures", measures)
+    keep = draw(st.lists(st.sampled_from(stored), unique=True)) if stored else []
     kinds = (["id"] if with_id else []) + ["m"] * len(measures) + ["label"] + (["count"] if count else [])
     header = (["id"] if with_id else []) + measures + [label] + ([count] if count else [])
 
@@ -811,7 +871,7 @@ def csv_files(draw):
         lines.append(",".join(row))
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = ending.join(lines) + draw(st.sampled_from(["", ending]))
-    return text, roles, kwargs
+    return text, roles, kwargs, keep
 
 
 def load_outcome(loader, path, **kwargs):
@@ -836,7 +896,7 @@ class TestAgainstRowReference:
     @settings(max_examples=300, deadline=None)
     @given(case=csv_files())
     def test_streamed_load_matches_row_reference(self, tmp_path_factory, case):
-        text, roles, kwargs = case
+        text, roles, kwargs, keep = case
         directory = tmp_path_factory.mktemp("ref")
         path = write(directory / "d.csv", text)
         if roles:
@@ -845,6 +905,14 @@ class TestAgainstRowReference:
         # Blocks of 3 records put block boundaries inside runs of rejected rows.
         with mock.patch.object(dataset_module, "_BLOCK_ROWS", 3):
             assert load_outcome(load_dataset, path, **kwargs) == expected
+            kept = load_outcome(load_dataset, path, keep=keep, **kwargs)
+        # keep stores fewer columns, in header order, and changes nothing else
+        result, caught = expected
+        if result[0] != "error":
+            ids, labels, measures, counts = result
+            result = ids, labels, {name: measures[name] for name in measures if name in keep}, counts
+            assert list(kept[0][2]) == list(result[2])
+        assert kept == (result, caught)
 
     @staticmethod
     def write_plain(path, empty_every=None):
@@ -931,7 +999,9 @@ class TestAgainstRowReference:
             load_dataset(path)
         assert str(got.value) == f"t.csv: row 3: {expected.value}"
 
-    def test_peak_memory_is_at_most_half_the_row_reference(self, tmp_path):
+    @pytest.fixture
+    def wide_csv(self, tmp_path):
+        """A 20k-module file with 20 measures X0..X19."""
         rng = np.random.default_rng(0)
         values = np.round(rng.lognormal(3.0, 1.0, (20_000, 20)), 2).tolist()
         path = tmp_path / "wide.csv"
@@ -941,13 +1011,20 @@ class TestAgainstRowReference:
                 f"m{i},{','.join(map(str, row))},{'Y' if i % 5 == 0 else 'N'}\n"
                 for i, row in enumerate(values)
             )
+        return path
 
-        def peak(loader):
-            tracemalloc.start()
-            try:
-                loader(path)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @staticmethod
+    def peak(loader, path, **kwargs):
+        """tracemalloc's peak over one load."""
+        tracemalloc.start()
+        try:
+            loader(path, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        assert peak(load_dataset) <= 0.5 * peak(row_reference)
+    def test_peak_memory_is_at_most_half_the_row_reference(self, wide_csv):
+        assert self.peak(load_dataset, wide_csv) <= 0.5 * self.peak(row_reference, wide_csv)
+
+    def test_keeping_one_measure_peaks_at_most_half_the_full_load(self, wide_csv):
+        assert self.peak(load_dataset, wide_csv, keep=["X7"]) <= 0.5 * self.peak(load_dataset, wide_csv)
