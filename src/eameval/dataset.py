@@ -171,7 +171,7 @@ class Dataset:
 
 def _unknown_measure(name: str, available) -> ValueError:
     """The error for a measure name that is not among the available ones."""
-    return ValueError(f"unknown measure {name!r}; available: {', '.join(available)}")
+    return ValueError(f"unknown measure {name!r}; available: {', '.join(available) or 'none'}")
 
 
 def _check_unique(ids: tuple[str, ...]) -> None:
@@ -337,8 +337,8 @@ def load_dataset(
     cell with text) are skipped.
     Without an id column, module ids are "1", "2", ... in file order,
     counting the non-blank data records only. One column may hold one role
-    only: a column that is two of the label, count and id columns is an
-    error.
+    only: a column that is two of the label, count and id columns, or one
+    of them and a sidecar measure, is an error.
 
     keep names the measure columns the Dataset stores, in header order; by
     default it stores every one. Every measure column is parsed and checked
@@ -358,10 +358,10 @@ def load_dataset(
 
     The file is read as a stream, one block of lines at a time. numpy's C
     reader parses a block of plain lines (no quote, the header's field
-    count) in one pass; a number cell numpy cannot read ('', 'NA') costs a
-    second pass, which reads every cell as text and the numbers with
-    float(). Any other block is read with csv.reader, which may read past
-    the block to finish a quoted cell.
+    count) whose number cells it can all read. Every other block is read as
+    text and its numbers with float(): a plain block split at its commas
+    (a number cell numpy cannot read, such as '' or 'NA'), any other with
+    csv.reader, which may read past the block to finish a quoted cell.
     Both feed the same column checks. A record csv.reader cannot read (a
     stray quote) is an error naming its row.
     """
@@ -410,10 +410,15 @@ def load_dataset(
         if count_column is None:
             # the column name save_dataset emits, so saved files round-trip
             count_column = next((c for c in header if c.lower() == "defect_count"), None)
-        for (role, name), (other, other_name) in itertools.combinations(
-                (("label", label_column), ("count", count_column), ("id", id_column)), 2):
-            if name is not None and name == other_name:
-                raise ValueError(f"{path.name}: column {name!r} is both the {role} and the {other} column")
+        role_of = {}
+        for role, name in (("label", label_column), ("count", count_column), ("id", id_column)):
+            if name in role_of:
+                raise ValueError(f"{path.name}: column {name!r} is both the {role_of[name]} and the {role} column")
+            if name is not None:
+                role_of[name] = role
+        for name in wanted_measures or ():
+            if name in role_of:
+                raise ValueError(f"{path.name}: column {name!r} is both the {role_of[name]} column and a measure")
 
         # Columns the sidecar assigns a role stay excluded from the measure set
         # even when an explicit argument points the role elsewhere.
@@ -511,15 +516,13 @@ class _Table:
         self.rejections, self.blank_rows = [], []
         # One field per column add_lines reads, in column order: object keeps
         # a text cell exactly, NULs and whitespace included, and float parses
-        # a number cell. A column read both ways (a sidecar may list the label
-        # as a measure) is kept as text.
+        # a number cell.
         text_at = {label_at, id_at} - {None}
         self.usecols = sorted({*text_at, *(i for _, i in measures), count_at} - {None})
         self.fields = np.dtype([(f"c{i}", object if i in text_at else float) for i in self.usecols])
-        self.text_fields = np.dtype([(f"c{i}", object) for i in self.usecols])
 
     def add(self, block: list, first: int) -> None:
-        """Check one block of csv.reader records; first is the row number of block[0]."""
+        """Check one block of records read as text (lists of cells); first is the row number of block[0]."""
         full_width = np.array([len(row) == self.width for row in block], dtype=bool)
         full = block if full_width.all() else list(itertools.compress(block, full_width))
         cells = list(zip(*full)) or [()] * self.width
@@ -532,10 +535,10 @@ class _Table:
         strips them around a number, float() does not), a line of another
         field count, over csv's field size limit or empty (numpy skips it).
 
-        The block is parsed once, number cells as floats. When numpy cannot
-        read one of them as a float ('', 'NA', '1_0'), the block is parsed
-        again with every cell as text and the number columns are read with
-        float(), as add reads them."""
+        For any other block, a line split at its commas, less its one line
+        ending, is the cells csv.reader reads from it. When numpy cannot read
+        a number cell as a float ('', 'NA', '1_0'), the split lines go to
+        add, which reads the numbers with float()."""
         text = "".join(lines)
         if any(c in text for c in '"\0\x1c\x1d\x1e\x1f') or max(map(len, lines)) > csv.field_size_limit():
             return False
@@ -543,27 +546,22 @@ class _Table:
             return False  # usecols would ignore an extra field
         if any(ending in lines for ending in ("\n", "\r\n", "\r")):
             return False  # numpy would skip the empty line, and warn if all are
-        parse = functools.partial(
-            np.loadtxt, lines, delimiter=",", comments=None, quotechar=None, ndmin=1, usecols=self.usecols)
         try:
-            table = parse(dtype=self.fields)
+            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                               usecols=self.usecols, dtype=self.fields)
         except ValueError:
-            table = parse(dtype=self.text_fields)
-
-        def number_of(i):
-            column = table[f"c{i}"]
-            return _floats(column.tolist()) if column.dtype == object else column
-
+            self.add([line.rstrip("\r\n").split(",") for line in lines], first)
+            return True
         self._check(
-            first, np.ones(len(lines), dtype=bool), lambda i: table[f"c{i}"].tolist(), number_of,
-            lambda k: next(csv.reader([lines[k]])),
+            first, np.ones(len(lines), dtype=bool), lambda i: table[f"c{i}"].tolist(), lambda i: table[f"c{i}"],
+            lambda k: lines[k].rstrip("\r\n").split(","),
         )
         return True
 
-    def _check(self, first, full_width, text_of, number_of, record) -> None:
+    def _check(self, first, full_width, text_of, floats_of, record) -> None:
         """The row rules of one block, whichever reader parsed it.
         full_width marks the block's records of the header's width; text_of(i)
-        is column i's cells of those records, and number_of(i) those cells as
+        is column i's cells of those records, and floats_of(i) those cells as
         floats, NaN where float() cannot read one. record(k) is the cells of
         the block's k-th record.
 
@@ -575,7 +573,7 @@ class _Table:
         rules = [(labels >= 0, lambda r, j: f"unparseable label {r[self.label_at]!r}")]
         values = []
         for j, (name, i) in enumerate(self.measures):
-            column = number_of(i)
+            column = floats_of(i)
             finite = np.isfinite(column)
             self.seen_finite[j] = self.seen_finite[j] or bool(finite.any())
             rules.append((finite, lambda r, j, m=name, i=i: f"measure {m!r} value {r[i]!r} is not a finite number"))
@@ -583,7 +581,7 @@ class _Table:
             if name in self.columns:
                 values.append((self.columns[name], column))
         if self.count_at is not None:
-            raw = number_of(self.count_at)
+            raw = floats_of(self.count_at)
             counts, whole = _whole_counts(raw)
             rules.append((np.isfinite(raw) & (raw >= 0) & whole,
                           lambda r, j: f"defect count {r[self.count_at]!r} is not a non-negative integer"))

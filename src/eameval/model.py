@@ -165,8 +165,9 @@ def fit_blr(d: Dataset, predictors) -> BlrModel:
         mu = _sigmoid(eta)
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         adjusted = eta + (y - mu) / w
+        Zw = Z * w[:, None]
         try:
-            new_beta = np.linalg.solve((Z * w[:, None]).T @ Z, (Z * w[:, None]).T @ adjusted)
+            new_beta = np.linalg.solve(Zw.T @ Z, Zw.T @ adjusted)
         except np.linalg.LinAlgError:
             raise ValueError(_collinear_message(predictors, Z[:, 1:])) from None
         change = float(np.max(np.abs(new_beta - beta)))

@@ -385,6 +385,12 @@ class TestReadMeasures:
         assert code == 1
         assert capsys.readouterr().err == "error: unknown measure 'Foo'; available: LOC, Halstead, McCC, churn\n"
 
+    def test_unknown_measure_of_a_file_without_measures_names_none(self, wide_csv, tmp_path, capsys):
+        wide_csv.with_suffix(".schema.json").write_text('{"measures": []}')
+        code = run(["evaluate", "--data", wide_csv, "--predictors", "LOC", "--out-dir", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown measure 'LOC'; available: none\n"
+
     def test_norm_unread_by_score_ranking_may_be_unknown(self, wide_csv, scores_csv, tmp_path):
         code = run([
             "evaluate", "--data", wide_csv, "--scores", scores_csv, "--score-match", "order",

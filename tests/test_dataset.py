@@ -90,6 +90,15 @@ def row_reference(path, label_column=None, count_column=None, id_column=None) ->
         id_column = next((c for c in header if c.lower() == "id"), None)
     if count_column is None:
         count_column = next((c for c in header if c.lower() == "defect_count"), None)
+    role_names = [("label", label_column), ("count", count_column), ("id", id_column)]
+    for k, (role, name) in enumerate(role_names):
+        for other, other_name in role_names[k + 1:]:
+            if name is not None and name == other_name:
+                raise ValueError(f"{path.name}: column {name!r} is both the {role} and the {other} column")
+    for name in wanted_measures or []:
+        for role, role_name in role_names:
+            if name == role_name:
+                raise ValueError(f"{path.name}: column {name!r} is both the {role} column and a measure")
     role_columns = {
         label_column, count_column, id_column, roles.get("label"), roles.get("count"), roles.get("id"),
     } - {None}
@@ -822,8 +831,8 @@ BAD_CELLS = {
 }
 BLANK_LINES = ["", "   ", "\t \t", " , ", ",,", '""']
 # Quoted cells, which make a block go to csv.reader. A cell numpy cannot
-# read as a float ('1_0', '\u0661', '', 'abc') only makes it parse the
-# block again as text.
+# read as a float ('1_0', '\u0661', '', 'abc') only makes the loader split
+# the block's lines at their commas.
 NOT_PLAIN = {'"4"', '"N"', '"m{k}\nx"', '"m{k}\r\n\ny"', '"1,5"', '"yes, no"'}
 
 
@@ -846,6 +855,9 @@ def csv_files(draw):
         roles["count"] = "n_bugs"
     if len(measures) > 1 and draw(st.booleans()):
         roles["measures"] = measures[1:]
+        if draw(st.integers(0, 3)) == 0:  # a role column listed as a measure is an error
+            role_columns = [label] + (["id"] if with_id else []) + ([count] if count else [])
+            roles["measures"].append(draw(st.sampled_from(role_columns)))
     stored = roles.get("measures", measures)
     keep = draw(st.lists(st.sampled_from(stored), unique=True)) if stored else []
     kinds = (["id"] if with_id else []) + ["m"] * len(measures) + ["label"] + (["count"] if count else [])
@@ -952,8 +964,9 @@ class TestAgainstRowReference:
     def test_unreadable_number_cell_leaves_its_block_to_numpy(self, tmp_path):
         path = self.write_plain(tmp_path / "plain.csv", empty_every=1000)
         outcome, lines_read = self.load_counting_csv_reader_lines(path)
-        # the header and the lead record, then each rejected row alone, for its message
-        assert lines_read == 2 + 10
+        # the header and the lead record only: a block numpy cannot read as
+        # floats is split at its commas
+        assert lines_read == 2
         assert len(outcome[0][0]) == 9_990
         assert outcome[1][0] == (
             DataQualityWarning, "plain.csv: row 1001: measure 'McCC' value '' is not a finite number; row rejected")
@@ -979,15 +992,14 @@ class TestAgainstRowReference:
         assert outcome == ((("1", "2"), [True, False], {}, None), [])
         assert outcome == load_outcome(row_reference, path)
 
-    def test_label_column_listed_as_a_measure_is_read_both_ways(self, tmp_path):
-        # The sidecar makes the label and count columns measures too, so
-        # numpy reads the label as text, and float() reads its numbers.
-        path = write(tmp_path / "t.csv", "id,LOC,Defective,bugs\na,1,1,1\nb,2,0,0\nc,3, 1 ,2\nd,4,x,0\ne,5,0,0\n")
-        (tmp_path / "t.schema.json").write_text(json.dumps({"measures": ["LOC", "Defective", "bugs"], "count": "bugs"}))
-        with mock.patch.object(dataset_module, "_BLOCK_ROWS", 2):
-            outcome = load_outcome(load_dataset, path)
-        assert outcome[0][2]["Defective"] == np.array([1.0, 0.0, 1.0, 0.0]).tobytes()
-        assert outcome == load_outcome(row_reference, path)
+    @pytest.mark.parametrize("column, role", [("status", "label"), ("bugs", "count"), ("key", "id")],
+                             ids=["label", "count", "id"])
+    def test_role_column_listed_as_a_measure_is_rejected(self, column, role, tmp_path):
+        path = write(tmp_path / "t.csv", "key,LOC,status,bugs\na,1,1,1\nb,2,0,0\n")
+        roles = {"label": "status", "count": "bugs", "id": "key", "measures": ["LOC", column]}
+        (tmp_path / "t.schema.json").write_text(json.dumps(roles))
+        error = f"t.csv: column {column!r} is both the {role} column and a measure"
+        assert load_outcome(load_dataset, path) == load_outcome(row_reference, path) == (("error", error), [])
 
     @pytest.mark.parametrize("last", ["c,3,N", '"c",3,N'])
     def test_field_over_the_size_limit_fails_as_csv_reader_does(self, tmp_path, last):
