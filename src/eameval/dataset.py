@@ -68,7 +68,7 @@ class Dataset:
     length. Module order is preserved verbatim from the source file; it is
     the final tie-breaking key for every ranking, so it must never be
     shuffled. The constructor is the one place the columns are checked: at
-    least one module, unique ids (a repeat raises DuplicateIdError), equal
+    least one module, unique str ids (a repeat raises DuplicateIdError), equal
     lengths, finite non-negative measures and defect counts, and a positive
     count, whole or not, exactly on the modules labelled defective. An array
     passed in that is already read-only and owns its data is shared, not
@@ -91,6 +91,9 @@ class Dataset:
         n = len(ids)
         if n == 0:
             raise ValueError("dataset must contain at least one module")
+        if not all(map(isinstance, ids, itertools.repeat(str))):
+            k = next(k for k, module_id in enumerate(ids) if not isinstance(module_id, str))
+            raise ValueError(f"module id {ids[k]!r} at position {k} is not a str")
         _check_unique(ids)
         measures = {name: _checked_column(f"measure {name!r}", values, ids)
                     for name, values in self.measures.items()}

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 from .curves import (BENEFIT_MODES, INTERPOLATIONS, CostEfficiencyCurve, budget_reading,
                      cost_efficiency_curve, popt)
-from .dataset import Dataset, _check_choice, _frozen
+from .dataset import Dataset, _check_choice
 from .effort import EffortDriver, budget_label, check_budget, check_distinct
 from .metrics import ClassificationMetrics, _auc, classification_metrics, confusion_at_cutoff
-from .ranking import (POLICIES, TIE_BREAKS, RankedList, _primary_key, _score_groups, _sorted, _ties,
+from .ranking import (POLICIES, TIE_BREAKS, RankedList, _primary_key, _ranked, _score_groups,
                       checked_scores, optimal_ranking)
 
 
@@ -76,8 +76,8 @@ def evaluate_suite(
 
     Built once per call: the scores' tie groups (one sort, which both the
     score key and the AUC read), the score and density primary keys, and
-    each cell curve's area; every ranking is one _sorted call and every
-    (ranking, curve) pair is built by one helper. What depends on the
+    each cell curve's area; every ranking is one ranking._ranked call and
+    every (ranking, curve) pair is built by one helper. What depends on the
     dataset and a driver alone is built once per dataset and kept in its
     memo, so repeated calls on one dataset reuse it: the driver's values,
     its tie order in each direction, as one entry per (driver, benefit)
@@ -118,7 +118,7 @@ def evaluate_suite(
     for drv in drivers if policies else ():
         pairs = {"optimal": d._driver_memo(drv, ("optimal", benefit), lambda: pair(optimal_ranking(d, drv), drv))}
         for policy, key in primary.items():
-            pairs[policy] = pair(RankedList(_frozen(_sorted(key, _ties(d, drv, tie_break))), policy), drv)
+            pairs[policy] = pair(_ranked(policy, key, d, drv, tie_break), drv)
         optimal_curve = pairs["optimal"][1]
         for policy in policies:
             ranking, curve = pairs[policy]

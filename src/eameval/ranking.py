@@ -14,14 +14,15 @@ inverse; -0.0 and 0.0 share a rank) of the negated key, the optimal one
 is 0 for defective modules and 1 for clean ones. A tie order lists the
 modules by the driver values' dense rank, ascending (or descending), ties
 in dataset order, or is the dataset order itself. _primary_key is the one
-home of each policy's key and _ties of the tie rule. The score key is
-read off the scores' tie groups (_score_groups: one np.unique,
-ascending), which evaluate_suite also hands to the AUC, so a call sorts
-its scores once. A driver's tie order in each direction depends on the
-dataset and driver alone: it is built once per dataset and kept in its
-memo (Dataset._driver_memo), as is evaluate_suite's optimal (ranking,
-curve) pair per benefit; evaluate_suite builds each score or density key
-once per call.
+home of each score policy's key, optimal_ranking of the optimal key,
+_ties of the tie rule, and _ranked builds every RankedList from a key.
+The score key is read off the scores' tie groups (_score_groups: one
+np.unique, ascending), which evaluate_suite also hands to the AUC, so a
+call sorts its scores once. A driver's tie order in each direction
+depends on the dataset and driver alone: it is built once per dataset and
+kept in its memo (Dataset._driver_memo), as is evaluate_suite's optimal
+(ranking, curve) pair per benefit; evaluate_suite builds each score or
+density key once per call.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .dataset import DataQualityWarning, Dataset, _check_choice, _frozen, _read_
 from .effort import EffortDriver, driver_values
 
 TIE_BREAKS = ("asc", "desc", "input")
-POLICIES = ("score", "density", "optimal")
+SCORE_POLICIES = ("score", "density")
+POLICIES = (*SCORE_POLICIES, "optimal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +121,11 @@ def _sorted(primary: np.ndarray, tie_order: np.ndarray) -> np.ndarray:
     return tie_order[keys]
 
 
-def _primary_key(policy: str, scores: np.ndarray | None, d: Dataset, norm: str | None,
+def _primary_key(policy: str, scores: np.ndarray, d: Dataset, norm: str,
                  groups: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """A policy's primary sort key: the dense rank of the negated scores
-    or densities, or 0 for defective modules and 1 for clean ones. The
-    score key is read off groups, the scores' _score_groups, when given."""
-    if policy == "optimal":
-        return (~d.labels).astype(np.intp)
+    """A score policy's primary sort key: the dense rank of the negated
+    scores or densities. The score key is read off groups, the scores'
+    _score_groups, when given."""
     if policy == "density":
         return _dense_rank(-_density(scores, norm, d))
     inverse, counts = groups or _score_groups(scores)
@@ -163,23 +163,27 @@ def _density(scores: np.ndarray, norm_measure: str, d: Dataset) -> np.ndarray:
     return np.where(zero, -np.inf, scores / np.where(zero, 1.0, norm))
 
 
+def _ranked(policy: str, key: np.ndarray, d: Dataset, driver: EffortDriver | None,
+            tie_break: str) -> RankedList:
+    """The RankedList of a policy: the modules sorted by a primary key,
+    those with equal keys in the driver's tie order under tie_break."""
+    return RankedList(_frozen(_sorted(key, _ties(d, driver, tie_break))), policy)
+
+
 def rank(policy: str, scores, d: Dataset, driver: EffortDriver | None,
          norm: str = "LOC", tie_break: str = "asc") -> RankedList:
-    """The ranking a named policy gives under a driver.
+    """The ranking a score policy gives under a driver.
 
     "score" ranks by descending score, "density" by descending score / norm
-    (a measure of d), "optimal" as optimal_ranking does, whatever the
-    tie_break. A module whose norm is zero has no density: it is ranked
-    last, and a DataQualityWarning names it. The tie_break and the scores
-    (one per module, none NaN) are checked whatever the policy.
+    (a measure of d). A module whose norm is zero has no density: it is
+    ranked last, and a DataQualityWarning names it. The tie_break and the
+    scores (one per module, none NaN) are checked whatever the policy. The
+    optimal ordering needs no scores: optimal_ranking builds it.
     """
     _check_choice("tie_break", tie_break, TIE_BREAKS)
     scores = checked_scores(scores, d)
-    _check_choice("policy", policy, POLICIES)
-    if policy == "optimal":
-        return optimal_ranking(d, driver)
-    key = _primary_key(policy, scores, d, norm)
-    return RankedList(_frozen(_sorted(key, _ties(d, driver, tie_break))), policy)
+    _check_choice("policy", policy, SCORE_POLICIES)
+    return _ranked(policy, _primary_key(policy, scores, d, norm), d, driver, tie_break)
 
 
 def optimal_ranking(d: Dataset, driver: EffortDriver | None) -> RankedList:
@@ -191,5 +195,4 @@ def optimal_ranking(d: Dataset, driver: EffortDriver | None) -> RankedList:
     modules within the effort of any of its prefixes. Each call builds a
     new RankedList; the driver's ascending tie order comes from d's memo.
     """
-    key = _primary_key("optimal", None, d, None)
-    return RankedList(_frozen(_sorted(key, _ties(d, driver, "asc"))), "optimal")
+    return _ranked("optimal", (~d.labels).astype(np.intp), d, driver, "asc")

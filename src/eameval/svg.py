@@ -8,6 +8,7 @@ deterministic text.
 
 from __future__ import annotations
 
+from html import escape
 from itertools import groupby
 from pathlib import Path
 
@@ -25,10 +26,6 @@ X_LABEL = "effort fraction"
 # Side, in canvas px, of the square cells a polyline draws about one point
 # of each (see _polyline_points).
 CELL_PX = 0.25
-
-
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _px(x: float) -> str:
@@ -75,7 +72,7 @@ def render_curves(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="15">{_escape(title)}</text>',
+        f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="15">{escape(title, quote=False)}</text>',
     ]
 
     x0, y0 = _to_canvas(0.0, 0.0)
@@ -108,7 +105,7 @@ def render_curves(
     )
     parts.append(
         f'<text x="16" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 16 {(y0 + y1) / 2:.2f})">{_escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {(y0 + y1) / 2:.2f})">{escape(y_label, quote=False)}</text>'
     )
 
     # random-selection reference line
@@ -130,7 +127,7 @@ def render_curves(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 26}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{lx + 32}" y="{ly}" font-size="12">{_escape(label)}</text>'
+            f'<text x="{lx + 32}" y="{ly}" font-size="12">{escape(label, quote=False)}</text>'
         )
 
     parts.append("</svg>")

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eameval.curves import cost_efficiency_curve, pofb_at, popt
+from eameval.curves import INTERPOLATIONS, cost_efficiency_curve, pofb_at, popt
 from eameval.effort import (
     EffortDriver,
     cumulative_effort_fractions,
@@ -240,9 +240,9 @@ def test_criterion_5_optimal_ranking_dominates_exhaustively():
         for _ in range(3):
             perm = tuple(int(i) for i in rng.permutation(n))
             rankings.append(RankedList(order=perm, policy="score"))
-        for ranking in rankings:
+        for ranking, interpolation in itertools.product(rankings, INTERPOLATIONS):
             curve = cost_efficiency_curve(ranking, drv, d)
-            value = popt(curve, optimal_curve)
+            value = popt(curve, optimal_curve, interpolation=interpolation)
             assert value <= 1.0 + 1e-12
             if curves_coincide(curve, optimal_curve, tol=1e-9):
                 assert value > 1.0 - 1e-9
@@ -250,7 +250,8 @@ def test_criterion_5_optimal_ranking_dominates_exhaustively():
                 assert value < 1.0 - 1e-12
         checked += 1
     assert checked == 200
-    print("\ncriterion 5 PASS: optimal ranking dominates all orderings on 200 instances")
+    print("\ncriterion 5 PASS: optimal ranking dominates all orderings on 200 instances, "
+          "Popt at most 1 under linear and step interpolation")
 
 
 def test_criterion_6_effort_units_cancel():

@@ -492,6 +492,7 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "PofB readings" in out
+        assert "PofB@0.5 0.123 != 0.6666666666666666" in out
 
 
 class TestDeterminism:

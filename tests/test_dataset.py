@@ -22,6 +22,7 @@ from eameval.dataset import (
     load_dataset,
     save_dataset,
 )
+from eameval.effort import EffortDriver
 from eameval.model import ScoreVector
 from eameval.ranking import RankedList
 
@@ -812,6 +813,51 @@ class TestUniqueIds:
     def test_first_repeat_in_module_order_is_named(self):
         with pytest.raises(DuplicateIdError, match=r"'b' at positions 1 and 3"):
             Dataset(ids=["a", "b", "c", "b", "a"], labels=[False] * 5, measures={"LOC": [1] * 5})
+
+
+class TestStrIds:
+    """A module id is a str (numpy.str_ is one): the density warning, score
+    import by id and save_dataset join, match or strip ids as text."""
+
+    @pytest.mark.parametrize("ids,bad", [
+        ([1, 2, 3], "1 at position 0"),
+        (["a", None], "None at position 1"),
+        (["a", "b", b"c"], "b'c' at position 2"),
+        (["a", np.int64(2)], f"{np.int64(2)!r} at position 1"),
+    ])
+    def test_constructor_names_the_first_non_str_id(self, ids, bad):
+        with pytest.raises(ValueError, match=re.escape(f"module id {bad} is not a str")):
+            Dataset(ids=ids, labels=[True] * len(ids), measures={"LOC": [1.0] * len(ids)})
+
+    @staticmethod
+    def numpy_ids(ids):
+        d = Dataset(ids=np.array(ids), labels=[True, False], measures={"LOC": [0.0, 2.0]})
+        assert all(type(i) is np.str_ for i in d.ids)
+        return d
+
+    def test_density_warning_never_sees_a_non_str_id(self):
+        from eameval.ranking import rank
+
+        drv = EffortDriver(measures=("LOC",))
+        with pytest.raises(ValueError, match="module id 1 at position 0 is not a str"):
+            rank("density", [0.9, 0.1], Dataset(ids=[1, 2], labels=[True, False], measures={"LOC": [0.0, 2.0]}),
+                 drv)
+        with pytest.warns(DataQualityWarning, match="1 module.s. with zero LOC ranked last: a$"):
+            assert rank("density", [0.9, 0.1], self.numpy_ids(["a", "b"]), drv).order.tolist() == [1, 0]
+
+    def test_score_import_by_id_never_sees_a_non_str_id(self, tmp_path):
+        from eameval.model import import_scores
+
+        scores = write(tmp_path / "s.csv", "2,0.1\n1,0.9\n")
+        with pytest.raises(ValueError, match="module id 1 at position 0 is not a str"):
+            import_scores(scores, Dataset(ids=[1, 2], labels=[True, False], measures={"LOC": [1.0, 2.0]}), match="id")
+        assert import_scores(scores, self.numpy_ids(["1", "2"]), match="id").values.tolist() == [0.9, 0.1]
+
+    def test_save_never_sees_a_non_str_id(self, tmp_path):
+        with pytest.raises(ValueError, match="module id 1 at position 0 is not a str"):
+            save_dataset(Dataset(ids=[1, 2], labels=[True, False], measures={"LOC": [1.0, 2.0]}), tmp_path / "d.csv")
+        save_dataset(self.numpy_ids(["a", "b"]), tmp_path / "d.csv")
+        assert load_dataset(tmp_path / "d.csv").ids == ("a", "b")
 
 
 # Cells that pass their column's check, then cells that fail it. An id with

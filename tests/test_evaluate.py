@@ -16,8 +16,8 @@ from eameval.effort import (EffortDriver, cumulative_effort_fractions, cutoff_fr
                             driver_values)
 from eameval.evaluate import evaluate_suite
 from eameval.metrics import classification_metrics, confusion_at_cutoff, roc_auc
-from eameval.ranking import (POLICIES, TIE_BREAKS, _dense_rank, _primary_key, _score_groups, _ties, optimal_ranking,
-                             rank)
+from eameval.ranking import (SCORE_POLICIES, TIE_BREAKS, _dense_rank, _primary_key, _score_groups, _ties,
+                             optimal_ranking, rank)
 from eameval.report import report_dict
 
 from conftest import build_dataset, random_instance
@@ -288,7 +288,10 @@ class TestSharedWork:
                                         interpolation=interpolation)
                 for cell in report.cells:
                     drv = drivers[cell.driver]
-                    ranking = rank(cell.policy, scores, d, drv, norm="m", tie_break=tie_break)
+                    if cell.policy == "optimal":
+                        ranking = optimal_ranking(d, drv)
+                    else:
+                        ranking = rank(cell.policy, scores, d, drv, norm="m", tie_break=tie_break)
                     curve = cost_efficiency_curve(ranking, drv, d, benefit=benefit)
                     assert cell.ranking.policy == ranking.policy
                     assert np.array_equal(cell.ranking.order, ranking.order)
@@ -373,7 +376,7 @@ class TestDriverMemo:
                 [self.DRIVERS[i] for i in data.draw(
                     st.lists(st.integers(0, len(self.DRIVERS) - 1), min_size=1, max_size=3, unique=True))],
                 np.array(data.draw(st.lists(values, min_size=n, max_size=n))),
-                data.draw(st.sampled_from(POLICIES)),
+                data.draw(st.sampled_from(SCORE_POLICIES)),
                 data.draw(st.sampled_from(TIE_BREAKS)),
                 data.draw(st.sampled_from(BENEFIT_MODES)),
                 data.draw(st.sampled_from(INTERPOLATIONS)),

@@ -144,3 +144,22 @@ def test_same_order_gives_the_same_ranking(case, transform, tie_break):
     assert optimal_cells[0].ranking.order.tolist() == optimal_cells[1].ranking.order.tolist()
     if len(set((scores + 0.0).tolist())) == d.n:
         assert len({tuple(c.ranking.order.tolist()) for c in score_cells}) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=instances(), tie_break=st.sampled_from(["asc", "desc", "input"]),
+       interpolation=st.sampled_from(["linear", "step"]))
+def test_popt_lies_in_the_unit_interval_under_modules(case, tie_break, interpolation):
+    """Under benefit="modules" the optimal curve dominates every ranking's
+    curve under the same driver, so every cell's Popt lies in [0, 1]. The
+    drivers are single, composite and (when neither measure is constant)
+    min-max composite; the instances hold zero efforts and tied scores,
+    -0.0 and 0.0 among them. Not drawn: "defects", under which the optimal
+    ranking ignores the counts (ROADMAP item 1)."""
+    d, scores = case
+    drivers = [LOC, MCCC, EffortDriver(("LOC", "McCC"), 0.3)]
+    if all(np.ptp(column) > 0 for column in d.measures.values()):
+        drivers.append(EffortDriver(("LOC", "McCC"), 0.5, normalize=True))
+    report = evaluate_suite(d, scores, drivers, BUDGETS, policies=("score", "density", "optimal"),
+                            tie_break=tie_break, benefit="modules", interpolation=interpolation)
+    assert [c.popt for c in report.cells if not 0.0 <= c.popt <= 1.0] == []

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -264,8 +265,8 @@ class TestRankingsMatchSortedReference:
 
         expected = sorted(range(d.n), key=lambda i: (not labels[i], loc[i] if with_driver else 0, i))
         assert optimal_ranking(d, driver).order.tolist() == expected
-        r = rank("optimal", scores, d, driver, tie_break=tie_break)
-        assert r.order.tolist() == expected
+        with pytest.raises(ValueError, match=re.escape("policy must be one of ('score', 'density'), got 'optimal'")):
+            rank("optimal", scores, d, driver, tie_break=tie_break)
 
     @settings(max_examples=100, deadline=None)
     @given(

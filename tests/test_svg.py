@@ -148,3 +148,17 @@ class TestPolylinePoints:
         (points,) = polyline_points(tmp_path / "o.svg")
         assert points[:3] == ["-0.00,235.00", "0.00,235.00", "-0.00,235.00"]
         assert_drawn_by_the_cell_rule(points, xs, ys)
+
+
+class TestText:
+    def test_title_axis_label_and_driver_name_read_back(self, tmp_path):
+        title, y_label = 'a & b < "c" > d', "found/<all> & 'more'"
+        driver = "composite:<A&B>,C,0.5"
+        render_curves(tmp_path / "t.svg", [(driver, [0.0, 1.0], [0.0, 1.0])], title=title, y_label=y_label)
+        texts = [t.text for t in ET.parse(tmp_path / "t.svg").getroot().iter(f"{SVG_NS}text")]
+        assert {title, y_label, driver} <= set(texts)
+        # only &, < and > are escaped; quotes are left as they are
+        raw = (tmp_path / "t.svg").read_text(encoding="utf-8")
+        assert '>a &amp; b &lt; "c" &gt; d</text>' in raw
+        assert ">found/&lt;all&gt; &amp; 'more'</text>" in raw
+        assert ">composite:&lt;A&amp;B&gt;,C,0.5</text>" in raw
