@@ -9,7 +9,8 @@ optimal curve for the same driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +31,7 @@ class CostEfficiencyCurve:
     policy, and benefit mode are carried along so that curves are only ever
     compared when they actually describe the same experiment. The shape is
     checked here, vectorised, when the curve is built, and nowhere else.
-    A curve also keeps its area under each interpolation once Popt has
-    read it (see _polyline_area).
+    Its area is computed once, when Popt first reads it.
     """
 
     xs: np.ndarray
@@ -39,7 +39,6 @@ class CostEfficiencyCurve:
     driver: str
     policy: str
     benefit: str
-    _areas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         xs = _read_only(self.xs, float, np.size(self.xs), "effort fractions")
@@ -57,6 +56,12 @@ class CostEfficiencyCurve:
             raise ValueError("benefit must be non-decreasing")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+
+    @functools.cached_property
+    def area(self) -> float:
+        """Trapezoid area, computed once: the memo's optimal curve serves every Popt of its driver."""
+        xs, ys = self.xs, self.ys
+        return float(np.sum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0))
 
 
 def cost_efficiency_curve(
@@ -106,22 +111,6 @@ def pofb_at(curve: CostEfficiencyCurve, budget: float) -> float:
     return budget_reading(curve, budget)[1]
 
 
-def _polyline_area(curve: CostEfficiencyCurve, interpolation: str) -> float:
-    """The area under the curve, computed once per interpolation and kept
-    on the curve: the memo's optimal curve serves every Popt of its driver."""
-    _check_choice("interpolation", interpolation, INTERPOLATIONS)
-    if interpolation not in curve._areas:
-        xs, ys = curve.xs, curve.ys
-        widths = np.diff(xs)
-        if interpolation == "linear":
-            area = float(np.sum(widths * (ys[1:] + ys[:-1]) / 2.0))
-        else:
-            # step: benefit holds at the last completed module until the next one finishes
-            area = float(np.sum(widths * ys[:-1]))
-        curve._areas[interpolation] = area
-    return curve._areas[interpolation]
-
-
 def popt(
     model_curve: CostEfficiencyCurve,
     optimal_curve: CostEfficiencyCurve,
@@ -131,8 +120,9 @@ def popt(
 
     Areas are integrated trapezoidally; summing the trapezoid of every
     curve segment is exact for these piecewise-linear curves, so refining
-    the x-grid cannot change the result. With "step" interpolation both
-    curves are read with whole-module semantics instead. Under
+    the x-grid cannot change the result. "step" gives the linear value: a
+    curve's step area is its linear area less half the sum over modules of
+    effort share times benefit share, which no ranking changes. Under
     benefit="modules" the optimal curve dominates every ranking's curve
     under the same driver, so the result lies in [0, 1] and reaches 1 only
     when the curves coincide. Under benefit="defects" the optimal ranking
@@ -151,7 +141,5 @@ def popt(
         )
     if len(model_curve.xs) != len(optimal_curve.xs):
         raise ValueError("curves describe datasets of different sizes")
-    gap = _polyline_area(optimal_curve, interpolation) - _polyline_area(
-        model_curve, interpolation
-    )
-    return 1.0 - gap
+    _check_choice("interpolation", interpolation, INTERPOLATIONS)
+    return 1.0 - (optimal_curve.area - model_curve.area)

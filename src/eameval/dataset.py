@@ -261,7 +261,7 @@ def _label_codes(cells) -> np.ndarray:
 
 
 def _blank(row) -> bool:
-    return not any(c.strip() for c in row)
+    return not "".join(row).strip()
 
 
 def _sidecar_roles(path: Path) -> dict:

@@ -82,7 +82,7 @@ def evaluate_suite(
     memo, so repeated calls on one dataset reuse it: the driver's values,
     its tie order in each direction, as one entry per (driver, benefit)
     the optimal ranking and its curve, which that driver's cells share, the
-    "optimal" cell among them, with the curve's area per interpolation, and
+    "optimal" cell among them, with the curve's one area, and
     the optimal ranking's metrics per cutoff. The defective count is
     counted once per dataset. Each budget's cutoff and benefit are read off
     the cell curve, and its confusion matrix by confusion_at_cutoff. Cells

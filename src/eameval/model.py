@@ -242,38 +242,39 @@ def import_scores(path, d: Dataset, kind: str = "probability", match: str = "id"
     cannot read (a stray quote) names its row.
     """
     path = Path(path)
+    name = path.name
     if not path.exists():
         raise FileNotFoundError(f"score file not found: {path}")
     _check_choice("match", match, SCORE_MATCHES)
     _check_choice("kind", kind, SCORE_KINDS)
 
     with open_csv(path) as fh:
-        rows = [(r, row) for r, row in csv_records(fh, path.name) if not _blank(row)]
+        rows = [(r, row) for r, row in csv_records(fh, name) if not _blank(row)]
     known = set(d.ids)
     if rows:
         first = rows[0][1]
         if _parse_score_cell(first[-1]) is None and (match == "order" or first[0].strip() not in known):
             rows = rows[1:]  # header row
     if not rows:
-        raise ValueError(f"{path.name}: no scores found")
+        raise ValueError(f"{name}: no scores found")
 
     if match == "order":
         for r, row in rows:
             if len(row) != 1:
-                raise ValueError(f"{path.name}: row {r}: match='order' expects a single score column")
+                raise ValueError(f"{name}: row {r}: match='order' expects a single score column")
         if len(rows) != d.n:
-            raise ValueError(f"{path.name}: expected {d.n} scores, got {len(rows)}")
-        values = [_checked_score(row[0], kind, path.name, r, i) for (r, row), i in zip(rows, d.ids)]
+            raise ValueError(f"{name}: expected {d.n} scores, got {len(rows)}")
+        values = [_checked_score(row[0], kind, name, r, i) for (r, row), i in zip(rows, d.ids)]
     else:
         by_id: dict[str, float] = {}
         for r, row in rows:
             if len(row) != 2:
-                raise ValueError(f"{path.name}: row {r}: match='id' expects columns (id, score)")
+                raise ValueError(f"{name}: row {r}: match='id' expects columns (id, score)")
             module_id = row[0].strip()
             if module_id in by_id:
                 first = next(q for q, other in rows if other[0].strip() == module_id)
-                raise ValueError(f"{path.name}: duplicate module id {module_id!r} in rows {first} and {r}")
-            by_id[module_id] = _checked_score(row[1], kind, path.name, r, module_id)
+                raise ValueError(f"{name}: duplicate module id {module_id!r} in rows {first} and {r}")
+            by_id[module_id] = _checked_score(row[1], kind, name, r, module_id)
         missing = [i for i in d.ids if i not in by_id]
         extra = [i for i in by_id if i not in known]
         if missing or extra:
@@ -282,7 +283,7 @@ def import_scores(path, d: Dataset, kind: str = "probability", match: str = "id"
                 parts.append("missing ids: " + ", ".join(missing))
             if extra:
                 parts.append("unknown ids: " + ", ".join(extra))
-            raise ValueError(f"{path.name}: {'; '.join(parts)}")
+            raise ValueError(f"{name}: {'; '.join(parts)}")
         values = [by_id[i] for i in d.ids]
 
     values = np.array(values, dtype=float)

@@ -43,7 +43,7 @@ def _readings() -> tuple:
     loc, mccc = cost_efficiency_curve(by_loc, LOC, d), cost_efficiency_curve(by_mccc, MCCC, d)
     # Hand trapezoid areas: optimal 0.8, score-order 2/3, so Popt = 13/15.
     optimal = cost_efficiency_curve(optimal_ranking(d, LOC), LOC, d)
-    cm = confusion_at_cutoff(by_loc, d, 4)
+    cm, mc = confusion_at_cutoff(by_loc, d, 4), confusion_at_cutoff(by_mccc, d, 2)
     m = classification_metrics(cm)
     fitted = fit_blr(d, ["LOC"])
     _, gradient = log_likelihood_and_gradient(fitted.coefficients, d, ["LOC"])
@@ -62,9 +62,11 @@ def _readings() -> tuple:
             ("LOC curve", (loc.xs.tolist(), loc.ys.tolist()), ([0.0, 0.05, 0.15, 0.30, 0.50, 1.0], thirds), 0),
             ("McCC curve", (mccc.xs.tolist(), mccc.ys.tolist()), ([0.0, 0.25, 0.30, 0.75, 0.85, 1.0], thirds), 0),
         ]),
-        ("PofB readings", [("PofB@0.5", pofb_at(loc, 0.5), 2 / 3, 0), ("PofB@0.2", pofb_at(loc, 0.2), 1 / 3, 0)]),
+        ("PofB readings", [("PofB@0.5", pofb_at(loc, 0.5), 2 / 3, 0), ("PofB@0.2", pofb_at(loc, 0.2), 1 / 3, 0),
+                           ("McCC PofB@0.5", pofb_at(mccc, 0.5), 1 / 3, 0)]),
         ("confusion and metrics", [
             ("confusion at 4", (cm.tp, cm.fp, cm.tn, cm.fn), (2, 2, 0, 1), 0),
+            ("McCC confusion at 2", (mc.tp, mc.fp, mc.tn, mc.fn), (1, 1, 1, 2), 0),
             ("TPR", m.tpr, 2 / 3, 0),
             ("PPV", m.ppv, 1 / 2, 0),
             ("F1", m.f1, 4 / 7, 1e-15),

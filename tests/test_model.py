@@ -322,6 +322,18 @@ class TestImportScores:
         with pytest.raises(ValueError, match=r"row 3 \(module 'B'\): non-numeric score 'x'"):
             import_scores(path, toy, match="id")
 
+    @pytest.mark.parametrize("match, text", [
+        ("id", "A,0.9\n ,\t\nB,x\nC,0.2\nD,0.4\nE,0.3\n"),
+        ("order", "0.9\n ,\t\nx\n0.2\n0.4\n0.3\n"),
+    ])
+    def test_whitespace_only_record_is_skipped_but_counted(self, match, text, tmp_path, toy):
+        # " ,\t" has two fields and no character in either: it is a blank
+        # record, not a score row, and the bad score after it is row 3
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"^s\.csv: row 3 \(module 'B'\): non-numeric score 'x'$"):
+            import_scores(path, toy, kind="raw", match=match)
+
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
     def test_non_finite_score_rejected_as_non_numeric(self, tmp_path, toy, cell):
         path = tmp_path / "s.csv"

@@ -163,3 +163,22 @@ def test_popt_lies_in_the_unit_interval_under_modules(case, tie_break, interpola
     report = evaluate_suite(d, scores, drivers, BUDGETS, policies=("score", "density", "optimal"),
                             tie_break=tie_break, benefit="modules", interpolation=interpolation)
     assert [c.popt for c in report.cells if not 0.0 <= c.popt <= 1.0] == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=instances(), tie_break=st.sampled_from(["asc", "desc", "input"]),
+       benefit=st.sampled_from(["modules", "defects"]))
+def test_step_popt_equals_linear_popt(case, tie_break, benefit):
+    """A curve's step area is its linear area less half the sum, over the
+    modules, of effort share times benefit share. No ranking changes that
+    sum, so it cancels in every Popt and "step" reads the "linear" Popt
+    bit for bit. Drawn: every policy, tie-break and benefit ("defects"
+    too, as the identity holds for any two orders), single, composite and
+    min-max drivers, zero efforts and tied scores, -0.0 and 0.0 among them."""
+    d, scores = case
+    drivers = [LOC, MCCC, EffortDriver(("LOC", "McCC"), 0.3)]
+    if all(np.ptp(column) > 0 for column in d.measures.values()):
+        drivers.append(EffortDriver(("LOC", "McCC"), 0.5, normalize=True))
+    grid = dict(policies=("score", "density", "optimal"), tie_break=tie_break, benefit=benefit)
+    step, linear = (evaluate_suite(d, scores, drivers, [], interpolation=i, **grid) for i in ("step", "linear"))
+    assert [c.popt for c in step.cells] == [c.popt for c in linear.cells]
