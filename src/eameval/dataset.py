@@ -360,11 +360,11 @@ def load_dataset(
     cell is an error, raised before any warning.
 
     The file is read as a stream, one block of lines at a time. numpy's C
-    reader parses a block of plain lines (no quote, the header's field
-    count) whose number cells it can all read. Every other block is read as
-    text and its numbers with float(): a plain block split at its commas
-    (a number cell numpy cannot read, such as '' or 'NA'), any other with
-    csv.reader, which may read past the block to finish a quoted cell.
+    reader parses a block of plain lines (no quote) of the header's field
+    count whose number cells it can all read. A plain block with a short or
+    long row or a number cell numpy cannot read ('', 'NA') is split at its
+    commas, and any other is read with csv.reader, which may read past the
+    block to finish a quoted cell; both read the numbers with float().
     Both feed the same column checks. A record csv.reader cannot read (a
     stray quote) is an error naming its row.
     """
@@ -504,11 +504,11 @@ class _Table:
     width is the header's length; label_at, count_at and id_at are the
     positions of the role columns (count_at and id_at may be None), and
     measures holds a (name, position) pair per measure column, every one of
-    which is checked. Each block's accepted rows extend rows (their row
+    which is checked. The measures and the count are read as numbers, every
+    other column as text. Each block's accepted rows extend rows (their row
     numbers), ids, labels, counts and, in columns, one part list per measure
     named in stored; its rejected rows go to rejections as (row number,
-    reason), or to blank_rows when they hold no text.
-    """
+    reason), or to blank_rows when they hold no text."""
 
     def __init__(self, width: int, label_at: int, count_at, id_at, measures, stored) -> None:
         self.width, self.label_at, self.count_at, self.id_at = width, label_at, count_at, id_at
@@ -517,74 +517,68 @@ class _Table:
         self.rows, self.ids, self.labels, self.counts = [], [], [], []
         self.columns = {name: [] for name in stored}
         self.rejections, self.blank_rows = [], []
-        # One field per column add_lines reads, in column order: object keeps
-        # a text cell exactly, NULs and whitespace included, and float parses
-        # a number cell.
-        text_at = {label_at, id_at} - {None}
-        self.usecols = sorted({*text_at, *(i for _, i in measures), count_at} - {None})
-        self.fields = np.dtype([(f"c{i}", object if i in text_at else float) for i in self.usecols])
+        # One field per header column, so numpy raises on a line of another
+        # field count: float parses a measure or count cell, and object keeps
+        # any other cell exactly, NULs and whitespace included.
+        self.numbers = {i for _, i in measures} | ({count_at} - {None})
+        self.fields = np.dtype([(f"c{i}", float if i in self.numbers else object) for i in range(width)])
 
     def add(self, block: list, first: int) -> None:
         """Check one block of records read as text (lists of cells); first is the row number of block[0]."""
         full_width = np.array([len(row) == self.width for row in block], dtype=bool)
         full = block if full_width.all() else list(itertools.compress(block, full_width))
         cells = list(zip(*full)) or [()] * self.width
-        self._check(first, full_width, cells.__getitem__, lambda i: _floats(cells[i]), block.__getitem__)
+        self._check(first, full_width, lambda i: _floats(cells[i]) if i in self.numbers else cells[i],
+                    block.__getitem__)
 
     def add_lines(self, lines: list, first: int) -> bool:
         """Check one block of raw lines parsed by numpy's C reader, as add does.
         False, having added nothing, if numpy might read it otherwise than
         csv.reader: a quote or NUL, one of the separators \x1c-\x1f (numpy
-        strips them around a number, float() does not), a line of another
-        field count, over csv's field size limit or empty (numpy skips it).
+        strips them around a number, float() does not), a line over csv's
+        field size limit or an empty one (numpy skips it).
 
-        For any other block, a line split at its commas, less its one line
-        ending, is the cells csv.reader reads from it. When numpy cannot read
-        a number cell as a float ('', 'NA', '1_0'), the split lines go to
-        add, which reads the numbers with float()."""
+        For any other block, _cells(line) is the cells csv.reader reads from
+        a line. When numpy raises, on a line of another field count or a
+        number cell it cannot read as a float ('', 'NA', '1_0'), the block's
+        cells go to add, which reads the numbers with float()."""
         text = "".join(lines)
         if any(c in text for c in '"\0\x1c\x1d\x1e\x1f') or max(map(len, lines)) > csv.field_size_limit():
             return False
-        if set(map(str.count, lines, itertools.repeat(","))) != {self.width - 1}:
-            return False  # usecols would ignore an extra field
         if any(ending in lines for ending in ("\n", "\r\n", "\r")):
             return False  # numpy would skip the empty line, and warn if all are
         try:
-            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=1,
-                               usecols=self.usecols, dtype=self.fields)
+            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=1, dtype=self.fields)
         except ValueError:
-            self.add([line.rstrip("\r\n").split(",") for line in lines], first)
+            self.add(list(map(_cells, lines)), first)
             return True
-        self._check(
-            first, np.ones(len(lines), dtype=bool), lambda i: table[f"c{i}"].tolist(), lambda i: table[f"c{i}"],
-            lambda k: lines[k].rstrip("\r\n").split(","),
-        )
+        self._check(first, np.ones(len(lines), dtype=bool), lambda i: table[f"c{i}"], lambda k: _cells(lines[k]))
         return True
 
-    def _check(self, first, full_width, text_of, floats_of, record) -> None:
+    def _check(self, first, full_width, column, record) -> None:
         """The row rules of one block, whichever reader parsed it.
-        full_width marks the block's records of the header's width; text_of(i)
-        is column i's cells of those records, and floats_of(i) those cells as
-        floats, NaN where float() cannot read one. record(k) is the cells of
-        the block's k-th record.
+        full_width marks the block's records of the header's width; column(i)
+        is column i's cells of those records: floats for a number column, NaN
+        where float() cannot read one, and text for any other. record(k) is
+        the cells of the block's k-th record.
 
         Each rule pairs the mask of the full-width records that pass it with
         the reason, from the record r and its index j among them, that one
         failing it gets. A rejected record is named by its field count or by
         the first rule it fails."""
-        labels = _label_codes(text_of(self.label_at))
+        labels = _label_codes(column(self.label_at))
         rules = [(labels >= 0, lambda r, j: f"unparseable label {r[self.label_at]!r}")]
         values = []
         for j, (name, i) in enumerate(self.measures):
-            column = floats_of(i)
-            finite = np.isfinite(column)
+            floats = column(i)
+            finite = np.isfinite(floats)
             self.seen_finite[j] = self.seen_finite[j] or bool(finite.any())
             rules.append((finite, lambda r, j, m=name, i=i: f"measure {m!r} value {r[i]!r} is not a finite number"))
-            rules.append((column >= 0, lambda r, j, m=name: f"measure {m!r} is negative"))
+            rules.append((floats >= 0, lambda r, j, m=name: f"measure {m!r} is negative"))
             if name in self.columns:
-                values.append((self.columns[name], column))
+                values.append((self.columns[name], floats))
         if self.count_at is not None:
-            raw = floats_of(self.count_at)
+            raw = column(self.count_at)
             counts, whole = _whole_counts(raw)
             rules.append((np.isfinite(raw) & (raw >= 0) & whole,
                           lambda r, j: f"defect count {r[self.count_at]!r} is not a non-negative integer"))
@@ -597,10 +591,10 @@ class _Table:
         accepted[full_width] = good
         self.rows.append(first + np.flatnonzero(accepted))
         if self.id_at is not None:
-            self.ids.extend(map(str.strip, itertools.compress(text_of(self.id_at), good.tolist())))
+            self.ids.extend(map(str.strip, itertools.compress(column(self.id_at), good.tolist())))
         self.labels.append(labels[good] == 1)
-        for parts, column in values:
-            parts.append(column[good])
+        for parts, floats in values:
+            parts.append(floats[good])
         for k in np.flatnonzero(~accepted).tolist():
             row = record(k)
             if _blank(row):
@@ -610,6 +604,11 @@ class _Table:
             else:
                 j = np.count_nonzero(full_width[:k])
                 self.rejections.append((first + k, next(why(row, j) for passed, why in rules if not passed[j])))
+
+
+def _cells(line: str) -> list:
+    """The cells csv.reader reads from a line with no quote: the line split at its commas, less its line ending."""
+    return line.rstrip("\r\n").split(",")
 
 
 def _column(parts) -> np.ndarray:

@@ -1018,6 +1018,27 @@ class TestAgainstRowReference:
             DataQualityWarning, "plain.csv: row 1001: measure 'McCC' value '' is not a finite number; row rejected")
         assert outcome == load_outcome(row_reference, path)
 
+    @pytest.mark.parametrize("words", [False, True], ids=["plain", "unread-words-column"])
+    def test_short_or_long_row_leaves_its_block_to_the_comma_split(self, tmp_path, words):
+        # 21 lines: the header, the lead record and one block of 19 lines.
+        # numpy raises on a row of another field count, and the block is
+        # split at its commas; csv.reader reads the header and the lead only.
+        header = "id,LOC,note,Defective" if words else "id,LOC,McCC,Defective"
+        rows = [f"m{i},{10 + i},{f'word {i}' if words else i % 7},{'Y' if i % 3 == 0 else 'N'}" for i in range(20)]
+        rows[6] = "m6,16,N"
+        if not words:
+            rows[13] = "m13,23,6,N,9"
+        path = write(tmp_path / "t.csv", "\n".join([header, *rows]) + "\n")
+        if words:
+            (tmp_path / "t.schema.json").write_text(json.dumps({"measures": ["LOC"]}))
+        outcome, lines_read = self.load_counting_csv_reader_lines(path)
+        assert lines_read == 2
+        expected = [(DataQualityWarning, "t.csv: row 8: expected 4 fields, got 3; row rejected")]
+        if not words:
+            expected.append((DataQualityWarning, "t.csv: row 15: expected 4 fields, got 5; row rejected"))
+        assert outcome[1] == expected and len(outcome[0][0]) == 20 - len(expected)
+        assert outcome == load_outcome(row_reference, path)
+
     @pytest.mark.parametrize("last", ["x,1,N", '"x",1,N'])
     def test_separator_after_a_number_rejected_whichever_reader_parses_the_block(self, tmp_path, last):
         # numpy strips \x1c-\x1f around a float, float() rejects them; the

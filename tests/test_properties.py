@@ -1,6 +1,8 @@
 """Metamorphic properties from the paper's argument: an effort-aware
-measure is effort-aware only through its driver. Each property relates two
-runs of evaluate_suite, so none needs an oracle for Popt's value."""
+measure is effort-aware only through its driver. Most properties relate two
+runs of evaluate_suite, so they need no oracle for Popt's value; the one
+that reads Popt itself does so from the two rankings alone, in exact
+arithmetic, through the pairwise identity."""
 
 import math
 from fractions import Fraction
@@ -163,6 +165,47 @@ def test_popt_lies_in_the_unit_interval_under_modules(case, tie_break, interpola
     report = evaluate_suite(d, scores, drivers, BUDGETS, policies=("score", "density", "optimal"),
                             tie_break=tie_break, benefit="modules", interpolation=interpolation)
     assert [c.popt for c in report.cells if not 0.0 <= c.popt <= 1.0] == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("interpolation", ["linear", "step"])
+def test_popt_lies_in_the_unit_interval_on_the_defects_reproducer(interpolation):
+    """Under benefit="defects" the optimal ranking ignores the counts, so
+    the score ranking here, which puts the module with 10 defects first,
+    reads Popt 12/11 = 1.0909 under both interpolations."""
+    d = Dataset(ids=["a", "b", "c"], labels=[True, True, False], measures={"LOC": [10, 20, 50]},
+                defect_counts=[1, 10, 0])
+    report = evaluate_suite(d, [0.5, 0.9, 0.1], [LOC], [], benefit="defects", interpolation=interpolation)
+    assert report.cells[0].popt <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=instances(), tie_break=st.sampled_from(["asc", "desc", "input"]),
+       benefit=st.sampled_from(["modules", "defects"]), interpolation=st.sampled_from(["linear", "step"]))
+def test_popt_is_one_less_the_misordered_pairs(case, tie_break, benefit, interpolation):
+    """Popt = 1 - sum(e_b*p_a - e_a*p_b) / (E*P) over the pairs that the
+    driver's optimal ranking puts a before b and the cell's ranking puts b
+    before a, with e a module's effort, p its benefit, E and P their totals.
+    The reference is exact (Fractions over the integer measures and counts)
+    and reads no curve; the identity holds for any two orders, so it holds
+    under "defects" too. Drawn: every policy, tie-break and benefit, single
+    and composite drivers, zero efforts and tied scores, -0.0 and 0.0 among
+    them."""
+    d, scores = case
+    loc, mccc = ([int(v) for v in d.measures[name].tolist()] for name in ("LOC", "McCC"))
+    drivers = [LOC, MCCC, EffortDriver(("LOC", "McCC"), 0.25)]
+    efforts = dict(zip((drv.name for drv in drivers), (loc, mccc, [Fraction(a + 3 * b, 4) for a, b in zip(loc, mccc)])))
+    benefits = (d.labels.astype(int) if benefit == "modules" else d.defect_counts.astype(int)).tolist()
+    report = evaluate_suite(d, scores, drivers, [], policies=("score", "density", "optimal"),
+                            tie_break=tie_break, benefit=benefit, interpolation=interpolation)
+    optimal = {c.driver: c.ranking.order.tolist() for c in report.cells if c.policy == "optimal"}
+    for cell in report.cells:
+        e = efforts[cell.driver]
+        where = {module: k for k, module in enumerate(cell.ranking.order.tolist())}
+        best = optimal[cell.driver]
+        gap = sum(e[b] * benefits[a] - e[a] * benefits[b]
+                  for k, a in enumerate(best) for b in best[k + 1:] if where[b] < where[a])
+        assert abs(cell.popt - float(1 - Fraction(gap) / (sum(e) * sum(benefits)))) <= 1e-9
 
 
 @settings(max_examples=150, deadline=None)
