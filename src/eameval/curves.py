@@ -79,7 +79,7 @@ def cost_efficiency_curve(
     fractions = cumulative_effort_fractions(drv, ranking, d)
     _check_choice("benefit", benefit, BENEFIT_MODES)
     if benefit == "modules":
-        values, empty = d.labels.astype(float), "no defective modules: benefit proportion is undefined"
+        values, empty = d.labels, "no defective modules: benefit proportion is undefined"
     elif d.defect_counts is None:
         raise ValueError("benefit='defects' needs a defect count for every module")
     else:

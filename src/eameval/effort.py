@@ -141,7 +141,8 @@ def cumulative_effort_fractions(drv: EffortDriver, ranking, d: Dataset) -> np.nd
 
 def _cumulative_shares(values: np.ndarray, order: np.ndarray, empty: str) -> np.ndarray:
     """Prefix sums of values[order] over their total, the last entry exactly 1;
-    ValueError(empty) when the total is not positive."""
+    ValueError(empty) when the total is not positive. Bool labels need no
+    float copy: their prefix sums are exact integers, so the shares match."""
     sums = np.cumsum(values[order])
     # Divide by the cumulative sum's own last element, not a separately
     # computed total: summation order differences of one ulp would otherwise

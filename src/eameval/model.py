@@ -75,12 +75,9 @@ class BlrModel:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    exp_eta = np.exp(eta[~pos])
-    out[~pos] = exp_eta / (1.0 + exp_eta)
-    return out
+    # exp only sees non-positive arguments, so it cannot overflow.
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def _design(d: Dataset, predictors) -> np.ndarray:
@@ -144,15 +141,15 @@ def fit_blr(d: Dataset, predictors) -> BlrModel:
             f"need more than {len(predictors) + 1} modules to fit {len(predictors)} predictor(s)"
         )
 
-    X = _design(d, predictors)
-    means = X[:, 1:].mean(axis=0)
-    stds = X[:, 1:].std(axis=0)
+    Z = _design(d, predictors)  # a fresh array, standardized in place
+    means = Z[:, 1:].mean(axis=0)
+    stds = Z[:, 1:].std(axis=0)
     constant = np.flatnonzero(stds == 0)
     if constant.size:
         name = predictors[int(constant[0])]
         raise ValueError(f"collinear predictors: {name!r} is constant (duplicates the intercept)")
-    Z = X.copy()
-    Z[:, 1:] = (X[:, 1:] - means) / stds
+    Z[:, 1:] -= means
+    Z[:, 1:] /= stds
     if np.linalg.matrix_rank(Z) < Z.shape[1]:
         raise ValueError(_collinear_message(predictors, Z[:, 1:]))
 

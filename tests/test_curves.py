@@ -100,6 +100,7 @@ class TestCurveConstruction:
         ((0.0, 0.5, 1.0), (0.0, 1.0), r"expected 3 values for benefit, got shape \(2,\)"),
         ((0.1, 0.5, 1.0), (0.0, 0.5, 1.0), r"curve must start at \(0, 0\)"),
         ((0.0, 0.3, 0.6, 1.0), (0.0, 0.6, 0.4, 1.0), r"benefit must be non-decreasing"),
+        ((0.0,), (0.0,), r"curve needs at least two points"),
     ])
     def test_validation_messages(self, xs, ys, message):
         with pytest.raises(ValueError, match=message):

@@ -7,6 +7,7 @@ from eameval.model import (
     BlrModel,
     ScoreVector,
     SeparationWarning,
+    _sigmoid,
     derive_predictor,
     fit_blr,
     import_scores,
@@ -94,9 +95,44 @@ class TestFit:
             fit_blr(d, ["a", "b"])
         assert "a" in str(exc.value) and "b" in str(exc.value)
 
+    def test_rank_deficient_design_without_a_collinear_pair(self):
+        # C = A + B: no two columns are near-duplicates, yet the design is
+        # rank-deficient, so the message names every predictor.
+        a = [1, 4, 2, 8, 5, 7]
+        b = [3, 1, 4, 1, 5, 9]
+        d = build_dataset(
+            {"A": a, "B": b, "C": [x + y for x, y in zip(a, b)]},
+            [False, True, False, True, True, False],
+        )
+        with pytest.raises(ValueError, match=r"^collinear predictors among: A, B, C$"):
+            fit_blr(d, ["A", "B", "C"])
+
     def test_unknown_predictor(self, toy):
         with pytest.raises(ValueError, match="unknown measure"):
             fit_blr(toy, ["halstead"])
+
+
+def two_branch_sigmoid(eta):
+    """The masked formula _sigmoid replaced, kept as its reference."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    exp_eta = np.exp(eta[~pos])
+    out[~pos] = exp_eta / (1.0 + exp_eta)
+    return out
+
+
+class TestSigmoid:
+    def test_bits_match_the_two_branch_formula(self):
+        rng = np.random.default_rng(28)
+        draws = [rng.standard_normal(20_000) * scale for scale in (1e-300, 1e-8, 1.0, 30.0, 700.0, 1e300)]
+        edges = [0.0, np.inf, 709.8, 745.2, 1e-320]
+        eta = np.concatenate(draws + [np.array(edges), -np.array(edges)])
+        got = _sigmoid(eta)
+        assert np.array_equal(got.view(np.int64), two_branch_sigmoid(eta).view(np.int64))
+
+    def test_nan_maps_to_nan(self):
+        assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 class TestSeparation:
